@@ -326,12 +326,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             evaluate.emit_report_markdown(report, Path(cfg["markdown"]))
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
-    best = min(report.cells, key=lambda c: c.mean_dist_deg)
-    print(
-        f"wrote {out}: {len(report.cells)} cells; best "
-        f"{best.filter_id}/{best.method}/{best.interp_method} x{best.factor} "
-        f"= {best.mean_dist_deg:.2f} deg"
-    )
+    scored = [c for c in report.cells if np.isfinite(c.mean_dist_deg)]
+    best = min(scored, key=lambda c: c.mean_dist_deg) if scored else None
+    summary = (f"best {best.filter_id}/{best.method}/{best.interp_method} x{best.factor} "
+               f"= {best.mean_dist_deg:.2f} deg") if best else "no cell was scored"
+    print(f"wrote {out}: {len(report.cells)} cells; {summary}")
     return EXIT_OK
 
 

@@ -8,15 +8,17 @@ to (-180, 180] before squaring so the 0/360 seam does not inflate scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from itfmap import xcorr
 from itfmap.denoise import FilterSpec, parse_filter_spec
-from itfmap.geometry import direction_from_tdoa
-from itfmap.pipeline import PipelineConfig, correlate_window, denoise_record
+# direction_from_tdoa and correlate_window run inside the pipeline stages;
+# perfbench's tracer expects them bound here as well
+from itfmap.geometry import direction_from_tdoa  # noqa: F401
+from itfmap.pipeline import PipelineConfig, correlate_window, denoise_record, solve_directions, window_peaks  # noqa: F401
 from itfmap.signals import normalize_window, segment
 from itfmap.simulate import AngleTrack, SimulatedRecord
 from itfmap.xcorr import InterpSpec
@@ -127,33 +129,6 @@ class ErrorReport:
         raise KeyError((filter_id, method, interp_method, factor))
 
 
-def _score_refinements(
-    record_result_series,
-    truth: AngleTrack,
-    total_windows: int,
-    config: PipelineConfig,
-    interp: InterpSpec,
-    dt: float,
-):
-    """Refine cached correlation series under one interp spec and score."""
-    n = total_windows
-    az = np.zeros(n)
-    el = np.zeros(n)
-    valid = np.zeros(n, dtype=bool)
-    for idx, (series_bc, series_bd) in record_result_series:
-        lag_bc = xcorr.refine_peak(series_bc, interp)
-        lag_bd = xcorr.refine_peak(series_bd, interp)
-        tau1, _ = xcorr.lag_to_tdoa(lag_bc, dt, config.center_frequency)
-        tau2, _ = xcorr.lag_to_tdoa(lag_bd, dt, config.center_frequency)
-        est = direction_from_tdoa(tau1, tau2, config.geometry, window_index=idx)
-        if est.valid:
-            az[idx] = est.az_deg
-            el[idx] = est.el_deg
-            valid[idx] = True
-    estimated = AngleTrack(az, el, window_length=config.plan.window_length, hop=config.plan.hop, valid=valid)
-    return map_error_stats(estimated, truth)
-
-
 def run_benchmark(
     grid: BenchmarkGrid,
     datasets: list[SimulatedRecord],
@@ -162,9 +137,10 @@ def run_benchmark(
     """Score every grid cell on every dataset.
 
     Per dataset and filter the denoised record is computed once, and per
-    correlation method the window correlation series are computed once; the
-    eight interpolation variants then share them.  Every cell value equals a
-    full independent pipeline run (purity makes the caching invisible).
+    correlation method the window correlation peaks are computed once; the
+    eight interpolation variants then share them, refined together in one
+    batch.  Every cell value equals a full independent pipeline run (purity
+    makes the caching invisible).
     Distances are averaged per record first, then across records.
     """
     if not datasets:
@@ -175,13 +151,17 @@ def run_benchmark(
     base = base_config or PipelineConfig()
     report = ErrorReport(grid=grid)
 
-    # cell accumulators: (filter, method, imethod, factor) -> per-record stats
-    acc: dict[tuple[str, str, str, int], list[ErrorStats]] = {
-        (f, m, im, fa): []
-        for f in grid.filters
-        for m in grid.methods
+    # (interp method, factor) -> spec; every x1 cell is the same integer
+    # peak, so each distinct spec is refined and scored once
+    cell_specs = {
+        (im, fa): InterpSpec() if fa == 1 else InterpSpec(method=im, factor=fa)
         for im in grid.interp_methods
         for fa in grid.factors
+    }
+    specs = list(dict.fromkeys(cell_specs.values()))
+    # cell accumulators: (filter, method, imethod, factor) -> per-record stats
+    acc: dict[tuple[str, str, str, int], list[ErrorStats]] = {
+        (f, m, im, fa): [] for f in grid.filters for m in grid.methods for im, fa in cell_specs
     }
 
     for ds in datasets:
@@ -191,39 +171,21 @@ def run_benchmark(
             filtered = denoise_record(ds.record, spec)
             windows = [normalize_window(w) for w in segment(filtered, base.plan)]
             for method in grid.methods:
-                config = PipelineConfig(
-                    filter_spec=spec,
-                    cc_method=method,
-                    plan=base.plan,
-                    geometry=base.geometry,
-                    ccwd_basis=base.ccwd_basis,
-                    ccwd_levels=base.ccwd_levels,
-                    signal_band=base.signal_band,
-                    center_frequency=base.center_frequency,
-                )
-                series = []
-                for win in windows:
-                    pair = correlate_window(win, config, dt)
-                    if pair is not None:
-                        series.append((win.index, pair))
-                for interp_method in grid.interp_methods:
-                    for factor in grid.factors:
-                        interp = (
-                            InterpSpec()
-                            if factor == 1
-                            else InterpSpec(method=interp_method, factor=factor)
+                config = replace(base, filter_spec=spec, cc_method=method)
+                wp = window_peaks(windows, config, dt)
+                scores = {}
+                for interp, lags in zip(specs, xcorr.refine_peaks(wp.peaks, specs)):
+                    try:
+                        track = solve_directions(wp, lags, config, dt).track()
+                        scores[interp] = map_error_stats(track, ds.truth)
+                    except ValueError:
+                        # every window gate-failed for this record: the
+                        # cell still reports, with the record unscored
+                        scores[interp] = ErrorStats(
+                            mean_deg=float("nan"), included=0, excluded=len(windows)
                         )
-                        try:
-                            stats = _score_refinements(
-                                series, ds.truth, len(windows), config, interp, dt
-                            )
-                        except ValueError:
-                            # every window gate-failed for this record: the
-                            # cell still reports, with the record unscored
-                            stats = ErrorStats(
-                                mean_deg=float("nan"), included=0, excluded=len(windows)
-                            )
-                        acc[(filter_id, method, interp_method, factor)].append(stats)
+                for (interp_method, factor), interp in cell_specs.items():
+                    acc[(filter_id, method, interp_method, factor)].append(scores[interp])
 
     for (filter_id, method, interp_method, factor), stats_list in acc.items():
         scored = [s.mean_deg for s in stats_list if s.included > 0]

@@ -96,50 +96,67 @@ def correlate_window(
     return xcorr.correlate(b, c, **kw), xcorr.correlate(b, d, **kw)
 
 
-def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:
-    """Run the full chain on one record."""
-    filtered = denoise_record(record, config.filter_spec)
-    windows = [normalize_window(w) for w in segment(filtered, config.plan)]
-    dt = record.sample_interval
-    estimates: list[DirectionEstimate] = []
-    tdoas: list[tuple[TdoaEstimate, TdoaEstimate]] = []
+@dataclass(frozen=True)
+class WindowPeaks:
+    """Correlation peaks of a record's windows on both baselines: the rows of
+    `peaks` are BC, BD, BC, BD, ... for the windows in `index`."""
+
+    index: list[int]
+    degenerate: list[int]
+    total_windows: int
+    peaks: xcorr.PeakNeighborhoods
+
+
+def window_peaks(windows: list[Window], config: PipelineConfig, dt: float) -> WindowPeaks:
+    """Correlate every window on both baselines, keeping only each series'
+    integer peak and neighborhood, never all the full series at once."""
+    rows = 2 * len(windows)
+    lag = np.zeros(rows, dtype=np.int64)
+    coefficient = np.zeros(rows)
+    neighborhood = np.zeros((rows, 2 * xcorr.INTERP_NEIGHBORHOOD + 1))
+    index: list[int] = []
     degenerate: list[int] = []
     for win in windows:
         pair = correlate_window(win, config, dt)
         if pair is None:
             degenerate.append(win.index)
             continue
-        series_bc, series_bd = pair
-        lag_bc = xcorr.refine_peak(series_bc, config.interp)
-        lag_bd = xcorr.refine_peak(series_bd, config.interp)
+        p = xcorr.peak_neighborhoods(np.vstack([s.coefficients for s in pair]))
+        k = slice(2 * len(index), 2 * len(index) + 2)
+        lag[k], coefficient[k], neighborhood[k] = p.lag, p.coefficient, p.neighborhood
+        index.append(win.index)
+    n = 2 * len(index)
+    peaks = xcorr.PeakNeighborhoods(config.plan.window_length - 1, lag[:n], coefficient[:n], neighborhood[:n])
+    return WindowPeaks(index, degenerate, len(windows), peaks)
+
+
+def solve_directions(wp: WindowPeaks, lags: np.ndarray, config: PipelineConfig, dt: float) -> MapResult:
+    """Delays and directions of the correlated windows, from `lags`: the
+    refined peak lags in the row order of `wp.peaks`."""
+    estimates: list[DirectionEstimate] = []
+    tdoas: list[tuple[TdoaEstimate, TdoaEstimate]] = []
+    coeffs = wp.peaks.coefficient.reshape(-1, 2).tolist()
+    for idx, (lag_bc, lag_bd), (peak_bc, peak_bd) in zip(wp.index, lags.reshape(-1, 2).tolist(), coeffs):
         tau1, phase1 = xcorr.lag_to_tdoa(lag_bc, dt, config.center_frequency)
         tau2, phase2 = xcorr.lag_to_tdoa(lag_bd, dt, config.center_frequency)
-        peak_bc = float(series_bc.coefficients.max())
-        peak_bd = float(series_bd.coefficients.max())
-        tdoas.append(
-            (
-                TdoaEstimate(win.index, xcorr.BASELINE_BC, lag_bc, tau1, peak_bc, phase1),
-                TdoaEstimate(win.index, xcorr.BASELINE_BD, lag_bd, tau2, peak_bd, phase2),
-            )
-        )
-        estimates.append(
-            direction_from_tdoa(
-                tau1,
-                tau2,
-                config.geometry,
-                window_index=win.index,
-                peak_coefficient=min(peak_bc, peak_bd),
-            )
-        )
-    return MapResult(
-        estimates=estimates,
-        tdoas=tdoas,
-        degenerate_windows=degenerate,
-        total_windows=len(windows),
-        sample_interval=dt,
-        hop=config.plan.hop,
-        window_length=config.plan.window_length,
-    )
+        tdoas.append((
+            TdoaEstimate(idx, xcorr.BASELINE_BC, lag_bc, tau1, peak_bc, phase1),
+            TdoaEstimate(idx, xcorr.BASELINE_BD, lag_bd, tau2, peak_bd, phase2),
+        ))
+        estimates.append(direction_from_tdoa(
+            tau1, tau2, config.geometry, window_index=idx, peak_coefficient=min(peak_bc, peak_bd)
+        ))
+    return MapResult(estimates, tdoas, wp.degenerate, wp.total_windows, dt, config.plan.hop, config.plan.window_length)
+
+
+def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:
+    """Run the full chain on one record."""
+    filtered = denoise_record(record, config.filter_spec)
+    dt = record.sample_interval
+    # the normalized windows are freed once correlated, before refinement
+    wp = window_peaks([normalize_window(w) for w in segment(filtered, config.plan)], config, dt)
+    (lags,) = xcorr.refine_peaks(wp.peaks, [config.interp])
+    return solve_directions(wp, lags, config, dt)
 
 
 # ----------------------------------------------------------------------

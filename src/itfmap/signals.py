@@ -134,15 +134,17 @@ def segment(record: SampleRecord, plan: SegmentationPlan) -> list[Window]:
 def normalize_window(window: Window) -> Window:
     """Zero-mean, max-|value|-1 normalization per channel segment.
 
-    Constant segments cannot be scaled; they map to all-zeros and raise the
-    per-channel degenerate flag instead of erroring.
+    Constant segments, and segments holding a non-finite sample, cannot be
+    scaled; they map to all-zeros and raise the per-channel degenerate flag
+    instead of erroring.
     """
     if window.length < 2:
         raise ValueError("window must have at least 2 samples per segment")
     segs = window.segments.astype(np.float64, copy=True)
-    segs -= segs.mean(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf; such segments are flagged below
+        segs -= segs.mean(axis=1, keepdims=True)
     peaks = np.max(np.abs(segs), axis=1)
-    degenerate = peaks < _DEGENERATE_EPS
+    degenerate = ~((peaks >= _DEGENERATE_EPS) & (peaks < np.inf))  # NaN and inf too
     segs[degenerate] = 0.0
     safe = np.where(degenerate, 1.0, peaks)
     segs /= safe[:, None]

@@ -177,7 +177,8 @@ def synthesize_record(
     (BD baseline) windows are the B window delayed by tau1 and tau2
     (band-limited spectral phase ramp on a padded slice).  The windows are
     concatenated with each output sample owned by the latest window covering
-    it, so overlapped synthesis stays single-valued.
+    it, so overlapped synthesis stays single-valued.  With hop > window the
+    samples of C and D that no window covers are zero.
     """
     geom = geom or ArrayGeometry()
     w = window_length or track.window_length
@@ -200,8 +201,8 @@ def synthesize_record(
     # pad each window's slice so the spectral ramp's circular wrap-around
     # never reaches the samples the window actually contributes
     pad = 64 + int(np.ceil(np.max(np.abs(np.concatenate([tau1, tau2]))) / dt))
-    chan_c = np.empty(needed)
-    chan_d = np.empty(needed)
+    chan_c = np.zeros(needed)
+    chan_d = np.zeros(needed)
     for i in range(n_win):
         start = i * h
         a = start - pad

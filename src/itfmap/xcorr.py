@@ -2,7 +2,8 @@
 
 Three routes to the same lag axis: direct time-domain (`cc_time`), conjugate
 spectral product (`cc_freq`) and undecimated-wavelet-domain (`cc_wavelet`).
-`refine_peak` interpolates the peak to fractional lags; `lag_to_tdoa`
+`peak_neighborhoods` and `refine_peaks` find and interpolate the peaks of
+many series at once (`refine_peak` is the one-series form); `lag_to_tdoa`
 converts lags to seconds and phase.
 
 Sign convention, fixed project-wide: a positive lag means the second input
@@ -11,6 +12,7 @@ is delayed relative to the first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import pi
 
@@ -25,6 +27,7 @@ CENTER_FREQUENCY = 60e6          # Hz, band center used for phase readout
 DEFAULT_SIGNAL_BAND = (40e6, 80e6)
 DEFAULT_CCWD_LEVELS = 2
 INTERP_NEIGHBORHOOD = 8          # integer lags kept on each side of the peak
+REFINE_BATCH_ROWS = 256          # rows resampled together: bounds the dense-grid temporaries
 
 BASELINE_BC = "BC"
 BASELINE_BD = "BD"
@@ -43,10 +46,8 @@ class CorrelationSeries:
 
     def peak(self) -> tuple[int, float]:
         """(integer lag, coefficient) of the maximum; ties -> smallest |lag|."""
-        c = self.coefficients
-        best = np.flatnonzero(c == c.max())
-        i = best[np.argmin(np.abs(self.lags[best]))]
-        return int(self.lags[i]), float(c[i])
+        i = _argmax_nearest_zero(self.coefficients[None, :], self.lags)[0]
+        return int(self.lags[i]), float(self.coefficients[i])
 
 
 @dataclass(frozen=True)
@@ -163,33 +164,100 @@ def cc_wavelet(
     return CorrelationSeries(_lag_axis(len(x)), acc / wsum)
 
 
+def _argmax_nearest_zero(curves: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Column of each row's maximum in `curves`, where `lags` (one row, or one
+    per curve) holds each column's lag: among equal maxima the smallest |lag|
+    wins, and of a +-k pair the negative one."""
+    at_max = curves == curves.max(axis=1, keepdims=True)
+    return np.argmin(np.where(at_max, np.abs(lags), np.inf), axis=1)
+
+
+@dataclass(frozen=True)
+class PeakNeighborhoods:
+    """Integer peaks of correlation series over lags -max_lag .. +max_lag, one
+    row per series, each with its coefficients at lags peak-8 .. peak+8 (NaN
+    past either end of the lag axis): all that peak refinement reads."""
+
+    max_lag: int
+    lag: np.ndarray
+    coefficient: np.ndarray
+    neighborhood: np.ndarray
+
+
+def peak_neighborhoods(coefficients: np.ndarray) -> PeakNeighborhoods:
+    """Integer peak (ties -> smallest |lag|) and neighborhood of every row of
+    `coefficients`, an (n, 2L+1) array of series over lags -L .. +L."""
+    c = np.atleast_2d(coefficients)
+    max_lag, n, rows = (c.shape[1] - 1) // 2, INTERP_NEIGHBORHOOD, np.arange(len(c))
+    i = _argmax_nearest_zero(c, np.arange(-max_lag, max_lag + 1))
+    nan = np.full((len(c), n), np.nan)
+    around = np.hstack([nan, c, nan])[rows[:, None], i[:, None] + np.arange(2 * n + 1)]
+    return PeakNeighborhoods(max_lag, i - max_lag, c[rows, i], around)
+
+
+def _resample(method: str, vals: np.ndarray, first: int, last: int, factor: int) -> np.ndarray:
+    """Rows of `vals`, sampled at integer offsets first .. last, resampled at
+    offsets first + k/factor."""
+    k = np.arange((last - first) * factor + 1)
+    if method == "cubic":
+        knots = np.arange(first, last + 1, dtype=np.float64)
+        return CubicSpline(knots, vals, axis=1)(first + k / factor)
+    # np.interp's arithmetic: slope * (x - x_j) + y_j, with unit knot spacing
+    slopes = np.diff(vals, axis=1, append=vals[:, -1:])
+    j, r = np.divmod(k, factor)
+    return vals[:, j] + slopes[:, j] * (r / factor)
+
+
+def refine_peaks(peaks: PeakNeighborhoods, interps: Sequence[InterpSpec]) -> list[np.ndarray]:
+    """Fractional-lag peak locations of every row of `peaks`, one array per
+    spec in `interps` (see `refine_peak`).
+
+    Each method is resampled once, on the grid of its largest requested
+    factor; a smaller factor's curve is a slice of that grid, with the same
+    values because the grid points are dyadic.  Rows whose neighborhood lies
+    inside the lag axis are resampled together, `REFINE_BATCH_ROWS` at a
+    time; a row clipped at either end of the axis is resampled alone over the
+    lags it has.
+    """
+    out = [peaks.lag.astype(np.float64) for _ in interps]
+    finest: dict[str, int] = {}
+    for spec in interps:
+        if spec.method != "none" and spec.factor > 1:
+            finest[spec.method] = max(spec.factor, finest.get(spec.method, 1))
+    if not finest:
+        return out
+    n = INTERP_NEIGHBORHOOD
+    lo = np.maximum(peaks.lag - n, -peaks.max_lag)
+    hi = np.minimum(peaks.lag + n, peaks.max_lag)
+    clipped = hi - lo < 2 * n
+    inside = np.flatnonzero(~clipped)
+    groups = [inside[k : k + REFINE_BATCH_ROWS] for k in range(0, len(inside), REFINE_BATCH_ROWS)]
+    for rows in groups + [[i] for i in np.flatnonzero(clipped)]:
+        first, last = lo[rows[0]] - peaks.lag[rows[0]], hi[rows[0]] - peaks.lag[rows[0]]
+        if first == last:
+            continue  # one-lag axis: nothing to resample
+        vals = peaks.neighborhood[rows, first + n : last + n + 1]
+        for method, top in finest.items():
+            curve = _resample(method, vals, first, last, top)
+            for spec, lags in zip(interps, out):
+                if spec.method == method and spec.factor > 1:
+                    dense = lo[rows][:, None] + np.arange((last - first) * spec.factor + 1) / spec.factor
+                    best = _argmax_nearest_zero(curve[:, :: top // spec.factor], dense)
+                    lags[rows] = dense[np.arange(len(rows)), best]
+    return out
+
+
 def refine_peak(series: CorrelationSeries, interp: InterpSpec) -> float:
     """Fractional-lag peak location.
 
     Finds the integer argmax (ties toward smallest |lag|), then resamples the
     +-8-lag neighborhood at `factor` times density with the chosen method and
     returns the argmax of the resampled curve (same tie break).  Factor 1 or
-    method ``none`` return the integer peak.
+    method ``none`` return the integer peak.  A one-row `refine_peaks`.
     """
     if len(series.coefficients) == 0:
         raise ValueError("empty correlation series")
-    lag0, _ = series.peak()
-    if interp.method == "none" or interp.factor == 1:
-        return float(lag0)
-    lags = series.lags
-    lo = max(int(lags[0]), lag0 - INTERP_NEIGHBORHOOD)
-    hi = min(int(lags[-1]), lag0 + INTERP_NEIGHBORHOOD)
-    base = lags[(lags >= lo) & (lags <= hi)].astype(np.float64)
-    vals = series.coefficients[(lags >= lo) & (lags <= hi)]
-    if len(base) < 2:
-        return float(lag0)
-    dense = lo + np.arange(int((hi - lo) * interp.factor) + 1) / interp.factor
-    if interp.method == "linear":
-        curve = np.interp(dense, base, vals)
-    else:
-        curve = CubicSpline(base, vals)(dense)
-    best = np.flatnonzero(curve == curve.max())
-    return float(dense[best[np.argmin(np.abs(dense[best]))]])
+    return float(refine_peaks(peak_neighborhoods(series.coefficients), [interp])[0][0])
 
 
 def lag_to_tdoa(lag_samples: float, dt: float, f: float = CENTER_FREQUENCY) -> tuple[float, float]:

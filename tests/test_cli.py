@@ -113,6 +113,23 @@ class TestMapCommand:
         strip = lambda t: [l for l in t.splitlines() if not l.startswith("# output")]
         assert strip(a) == strip(b)
 
+    def test_nan_sample_skips_the_windows_covering_it(self, tmp_path, capsys):
+        rec = self.make_record(tmp_path, windows=40, window=64, hop=4)
+        lines = rec.read_text().splitlines()
+        header = sum(1 for l in lines if l.startswith("#"))
+        row = header + 100                   # sample 100 of the record
+        b, c, d = lines[row].split(",")
+        lines[row] = f"{b},nan,{d}"
+        rec.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out),
+                   "--window", "64", "--hop", "4", "--interp", "cubic:8") == EXIT_OK
+        covering = {i for i in range(40) if 4 * i <= 100 < 4 * i + 64}
+        assert [r.window_index for r in pipeline.read_map_csv(out)] == [
+            i for i in range(40) if i not in covering
+        ]
+        assert f"{len(covering)} degenerate" in capsys.readouterr().out
+
 
 class TestConfigFile:
     def test_file_plus_flag_override(self, tmp_path):
@@ -184,6 +201,25 @@ class TestBenchCommand:
         # markdown has one row per filter
         body = [l for l in md.read_text().splitlines() if l.startswith("|")][2:]
         assert len(body) == 10
+
+    @pytest.mark.parametrize("all_nan", [False, True])
+    def test_best_line_ignores_nan_cells(self, tmp_path, capsys, monkeypatch, all_nan):
+        def fake_run_benchmark(grid, datasets, base):
+            report = evaluate.ErrorReport(grid=grid)
+            for k, dist in enumerate([float("nan"), 7.5, 2.25, 4.0]):
+                if all_nan:
+                    dist = float("nan")
+                report.cells.append(evaluate.CellResult("bpf", "cctd", "cubic", 2 ** k, dist, 0, 0))
+            return report
+
+        monkeypatch.setattr(evaluate, "run_benchmark", fake_run_benchmark)
+        assert run("bench", "--output", str(tmp_path / "r.csv"), "--window", "64",
+                   "--hop", "16", "--records", "1", "--record-windows", "2") == EXIT_OK
+        out = capsys.readouterr().out
+        if all_nan:
+            assert "4 cells; no cell was scored" in out
+        else:
+            assert "best bpf/cctd/cubic x4 = 2.25 deg" in out
 
 
 class TestPlotCommand:

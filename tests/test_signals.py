@@ -155,6 +155,11 @@ class TestNormalizeWindow:
         np.testing.assert_array_equal(w.segments[0], [0, 0, 0])
         assert w.degenerate == (True, False, True)
 
+    def test_non_finite_segment_flags_degenerate(self):
+        w = normalize_window(self.window_of([[1, np.nan, 3], [1, 2, 3], [np.inf, 2, 3]]))
+        np.testing.assert_array_equal(w.segments[[0, 2]], 0.0)
+        assert w.degenerate == (True, False, True)
+
     def test_random_segment_mean_and_peak(self):
         rng = np.random.default_rng(3)
         w = normalize_window(self.window_of(rng.normal(size=(3, 256))))

@@ -166,6 +166,16 @@ class TestSynthesize:
             ec = np.sum(sim.record.c[sl] ** 2)
             assert abs(ec / eb - 1.0) < 0.05
 
+    def test_gap_samples_are_zero_and_deterministic(self):
+        # hop > window leaves samples no window covers in C and D
+        tr = make_track("random-walk", 4, seed=11, window_length=256, hop=1024)
+        runs = [synthesize_record(reference(4000, seed=11), tr, G3, 256, 1024, dt=DT) for _ in range(2)]
+        assert runs[0].record.channels.tobytes() == runs[1].record.channels.tobytes()
+        gaps = np.ones(runs[0].record.length, dtype=bool)
+        for i in range(4):
+            gaps[i * 1024 : i * 1024 + 256] = False
+        assert np.all(runs[0].record.channels[1:, gaps] == 0.0)
+
     def test_truth_sidecar_roundtrip(self, tmp_path):
         tr = make_track("random-walk", 12, seed=9, window_length=64, hop=8)
         sim = synthesize_record(reference(300), tr, G3, 64, 8, dt=DT)

@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from itfmap import xcorr
 from itfmap.wavelets import get_basis
 from itfmap.xcorr import (
     CorrelationSeries,
     DegenerateWindowError,
     InterpSpec,
+    PeakNeighborhoods,
     cc_freq,
     cc_time,
     cc_wavelet,
     lag_to_tdoa,
+    peak_neighborhoods,
     refine_peak,
+    refine_peaks,
 )
 
 DT = 4e-9
@@ -213,6 +218,108 @@ class TestRefinePeak:
         assert InterpSpec.parse("cubic:8") == InterpSpec("cubic", 8)
         assert InterpSpec.parse("none") == InterpSpec()
         assert InterpSpec.parse("linear:4").label() == "linear:4"
+
+
+def reference_peak(lags, c):
+    """Per-series integer peak, ties -> smallest |lag| (first of a +-k pair)."""
+    best = np.flatnonzero(c == c.max())
+    i = best[np.argmin(np.abs(lags[best]))]
+    return int(lags[i]), float(c[i])
+
+
+def reference_refine(lags, c, interp):
+    """Per-series refinement, one spline or np.interp call per series and
+    spec: the oracle the batched `refine_peaks` must match exactly."""
+    lag0, _ = reference_peak(lags, c)
+    if interp.method == "none" or interp.factor == 1:
+        return float(lag0)
+    lo = max(int(lags[0]), lag0 - 8)
+    hi = min(int(lags[-1]), lag0 + 8)
+    base = lags[(lags >= lo) & (lags <= hi)].astype(np.float64)
+    vals = c[(lags >= lo) & (lags <= hi)]
+    if len(base) < 2:
+        return float(lag0)
+    dense = lo + np.arange(int((hi - lo) * interp.factor) + 1) / interp.factor
+    if interp.method == "linear":
+        curve = np.interp(dense, base, vals)
+    else:
+        curve = CubicSpline(base, vals)(dense)
+    best = np.flatnonzero(curve == curve.max())
+    return float(dense[best[np.argmin(np.abs(dense[best]))]])
+
+
+ALL_SPECS = [InterpSpec()] + [
+    InterpSpec(m, f) for m in ("linear", "cubic") for f in (1, 2, 4, 8)
+]
+
+
+def adversarial_rows(W, rng):
+    """Coefficient rows over lags -(W-1)..W-1 that stress the tie breaks and
+    the clipped neighborhoods, plus smooth and random ones."""
+    L = W - 1
+    lags = np.arange(-L, L + 1)
+    rows = [rng.uniform(-1, 1, 2 * L + 1) for _ in range(40)]
+    rows.append(np.ones(2 * L + 1))                               # flat
+    rows.append(np.round(rng.uniform(-1, 1, 2 * L + 1), 1))       # many ties
+    for k in sorted(set(range(min(12, L + 1))) | set(range(max(0, L - 11), L + 1))):  # exact +-k ties
+        r = rng.uniform(-1, 0.5, 2 * L + 1)
+        r[L - k] = r[L + k] = 0.9
+        rows.append(r)
+    for centre in list(range(-L, min(-L + 10, L + 1))) + list(range(max(L - 9, -L), L + 1)):
+        smooth = np.cos((lags - centre - rng.uniform(-0.5, 0.5)) / 3.0)  # peak near an end
+        rows.append(smooth)
+        plateau = np.minimum(smooth, 0.8)                        # flat top
+        rows.append(plateau)
+    for _ in range(20):
+        rows.append(np.cos((lags - rng.uniform(-L, L)) / rng.uniform(1.0, 6.0)))
+    return lags, np.array(rows)
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("W", [2, 3, 9, 17, 256])
+    def test_equals_per_series_reference(self, W):
+        lags, rows = adversarial_rows(W, np.random.default_rng(W))
+        peaks = peak_neighborhoods(rows)
+        refined = refine_peaks(peaks, ALL_SPECS)
+        for r, c in enumerate(rows):
+            lag0, coeff = reference_peak(lags, c)
+            assert (peaks.lag[r], peaks.coefficient[r]) == (lag0, coeff)
+            for spec, out in zip(ALL_SPECS, refined):
+                expected = reference_refine(lags, c, spec)
+                assert out[r] == expected, (r, spec)
+                assert refine_peak(CorrelationSeries(lags, c), spec) == expected
+
+    def test_batch_of_real_correlations(self):
+        rng = np.random.default_rng(41)
+        rows = []
+        for d in rng.uniform(-6, 6, 60):
+            x, y = bandlimited_pair(float(d), seed=int(rng.integers(1000)))
+            rows.append(cc_time(x, y).coefficients)
+        rows = np.array(rows)
+        lags = np.arange(-255, 256)
+        refined = refine_peaks(peak_neighborhoods(rows), ALL_SPECS)
+        for spec, out in zip(ALL_SPECS, refined):
+            assert out.tolist() == [reference_refine(lags, c, spec) for c in rows]
+
+    def test_neighborhood_is_nan_past_the_lag_axis(self):
+        lags = np.arange(-20, 21)
+        c = np.cos((lags + 17) / 4.0)
+        peaks = peak_neighborhoods(c)
+        assert peaks.lag.tolist() == [-17]
+        assert np.isnan(peaks.neighborhood[0, :5]).all()
+        assert peaks.neighborhood[0, 5:].tolist() == c[:12].tolist()
+
+    def test_batch_size_does_not_change_lags(self, monkeypatch):
+        _, rows = adversarial_rows(256, np.random.default_rng(7))
+        whole = refine_peaks(peak_neighborhoods(rows), ALL_SPECS)
+        monkeypatch.setattr(xcorr, "REFINE_BATCH_ROWS", 7)
+        split = refine_peaks(peak_neighborhoods(rows), ALL_SPECS)
+        for a, b in zip(whole, split):
+            assert a.tolist() == b.tolist()
+
+    def test_no_rows(self):
+        empty = PeakNeighborhoods(255, np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 17)))
+        assert [len(x) for x in refine_peaks(empty, ALL_SPECS)] == [0] * len(ALL_SPECS)
 
 
 class TestLagToTdoa:
