@@ -2,7 +2,6 @@
 interferometer — denoising, windowed cross-correlation TDOA, geometry, and a
 closed-loop simulation/benchmark harness."""
 
-from itfmap._core import BACKEND
 from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdoa, tdoa_from_direction
 from itfmap.signals import SampleRecord, SegmentationPlan, Window, load_record, normalize_window, save_record, segment
 from itfmap.simulate import AngleTrack, AugmentSpec, SimulatedRecord, add_awgn, augment_track, make_track, synthesize_record
@@ -13,7 +12,6 @@ from itfmap.pipeline import MapResult, PipelineConfig, map_record
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "AngleTrack",
     "ArrayGeometry",
     "AugmentSpec",

@@ -1,8 +1,4 @@
-"""Pure-NumPy implementations of the hot kernels.
-
-Same contracts as the Cython versions in `_kernels.pyx`; used when the
-compiled extension is unavailable.
-"""
+"""The two numeric kernels under the correlation and Kalman layers."""
 
 from __future__ import annotations
 

@@ -158,10 +158,15 @@ def _require(cfg: dict, key: str, code: int = EXIT_CONFIG):
     return cfg[key]
 
 
-def _pipeline_config(cfg: dict) -> pipeline.PipelineConfig:
+def _pipeline_config(cfg: dict, default_hop: int = 1) -> tuple[pipeline.PipelineConfig, float]:
+    """The run configuration and the sample interval (s) from the merged
+    settings; any bad value exits 3."""
     try:
+        dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
+        if not 0 < dt < np.inf:
+            raise ValueError(f"sample interval must be finite and > 0, got {cfg['dt_ns']} ns")
         plan = SegmentationPlan(
-            window_length=int(cfg.get("window", 256)), hop=int(cfg.get("hop", 1))
+            window_length=int(cfg.get("window", 256)), hop=int(cfg.get("hop", default_hop))
         )
         geom = ArrayGeometry(
             d=float(cfg.get("baseline_m", 15.0)),
@@ -170,7 +175,7 @@ def _pipeline_config(cfg: dict) -> pipeline.PipelineConfig:
         band = (float(cfg.get("band_low_hz", 40e6)), float(cfg.get("band_high_hz", 80e6)))
         if not 0 < band[0] < band[1]:
             raise ValueError(f"bad signal band {band}")
-        return pipeline.PipelineConfig(
+        config = pipeline.PipelineConfig(
             filter_spec=parse_filter_spec(cfg.get("filter", "none")),
             cc_method=cfg.get("cc", "cctd"),
             interp=InterpSpec.parse(cfg.get("interp", "none")),
@@ -180,6 +185,7 @@ def _pipeline_config(cfg: dict) -> pipeline.PipelineConfig:
         )
     except (ValueError, KeyError) as exc:
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
+    return config, dt
 
 
 def _config_comments(cfg: dict) -> list[str]:
@@ -206,42 +212,37 @@ def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
+    config, dt = _pipeline_config(cfg)
+    window, hop = config.plan.window_length, config.plan.hop
     n_windows = int(cfg.get("windows", 200))
-    window = int(cfg.get("window", 256))
-    hop = int(cfg.get("hop", 1))
     seed = int(cfg.get("seed", 0))
-    dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
-    geom = ArrayGeometry(d=float(cfg.get("baseline_m", 15.0)), c=float(cfg.get("c", 299792458.0)))
-    try:
-        track = simulate.make_track(
-            cfg.get("track", "random-walk"),
-            n_windows,
-            seed=seed,
-            az0=float(cfg.get("az", 120.0)),
-            el0=float(cfg.get("el", 45.0)),
-            az1=cfg.get("az_end"),
-            el1=cfg.get("el_end"),
-            window_length=window,
-            hop=hop,
+    track = simulate.make_track(
+        cfg.get("track", "random-walk"),
+        n_windows,
+        seed=seed,
+        az0=float(cfg.get("az", 120.0)),
+        el0=float(cfg.get("el", 45.0)),
+        az1=cfg.get("az_end"),
+        el1=cfg.get("el_end"),
+        window_length=window,
+        hop=hop,
+    )
+    if cfg.get("augment_noise_sigma") or cfg.get("augment_scale") or cfg.get("augment_flip"):
+        track = simulate.augment_track(
+            track,
+            AugmentSpec(
+                noise_sigma=float(cfg.get("augment_noise_sigma", 0.0)),
+                scale_factor=float(cfg.get("augment_scale", 1.0)),
+                flip=bool(cfg.get("augment_flip", 0)),
+                seed=seed,
+            ),
         )
-        if cfg.get("augment_noise_sigma") or cfg.get("augment_scale") or cfg.get("augment_flip"):
-            track = simulate.augment_track(
-                track,
-                AugmentSpec(
-                    noise_sigma=float(cfg.get("augment_noise_sigma", 0.0)),
-                    scale_factor=float(cfg.get("augment_scale", 1.0)),
-                    flip=bool(cfg.get("augment_flip", 0)),
-                    seed=seed,
-                ),
-            )
-        needed = (n_windows - 1) * hop + window
-        ref = _reference_waveform(needed, dt, seed)
-        sim = simulate.synthesize_record(ref, track, geom, window, hop, dt=dt)
-        record = sim.record
-        if "snr_db" in cfg:
-            record = simulate.add_record_noise(record, float(cfg["snr_db"]), seed=seed)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PROCESS) from exc
+    needed = (n_windows - 1) * hop + window
+    ref = _reference_waveform(needed, dt, seed)
+    sim = simulate.synthesize_record(ref, track, config.geometry, window, hop, dt=dt)
+    record = sim.record
+    if "snr_db" in cfg:
+        record = simulate.add_record_noise(record, float(cfg["snr_db"]), seed=seed)
     try:
         save_record(record, out, cfg.get("format"))
         simulate.save_truth(sim, out.with_suffix(out.suffix + ".truth.csv"))
@@ -257,7 +258,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     out = Path(_require(cfg, "output"))
     if not inp.exists():
         raise CliError(f"input not found: {inp}", EXIT_INPUT)
-    config = _pipeline_config(cfg)
+    config, _ = _pipeline_config(cfg)
     try:
         record = load_record(inp, cfg.get("format"))
     except (OSError, ValueError) as exc:
@@ -288,38 +289,30 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
+    base, dt = _pipeline_config(cfg, default_hop=16)
+    window, hop = base.plan.window_length, base.plan.hop
     seed = int(cfg.get("seed", 0))
-    dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
-    window = int(cfg.get("window", 256))
-    hop = int(cfg.get("hop", 16))
-    geom = ArrayGeometry(d=float(cfg.get("baseline_m", 15.0)), c=float(cfg.get("c", 299792458.0)))
-    plan = SegmentationPlan(window_length=window, hop=hop)
-    band = (float(cfg.get("band_low_hz", 40e6)), float(cfg.get("band_high_hz", 80e6)))
-    base = pipeline.PipelineConfig(plan=plan, geometry=geom, signal_band=band)
     n_records = int(getattr(args, "records", 2))
     n_windows = int(getattr(args, "record_windows", 120))
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs
     snr_db = float(cfg.get("snr_db", 20.0))
     datasets = []
-    try:
-        for ri in range(n_records):
-            # record 0 replicates `simulate` with the same seed/window/hop/snr,
-            # so a bench cell can be cross-checked against a mapped record
-            track = simulate.make_track(
-                "random-walk", n_windows, seed=seed + 101 * ri,
-                az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
-                window_length=window, hop=hop,
-            )
-            needed = (n_windows - 1) * hop + window
-            ref = _reference_waveform(needed, dt, seed + 7 * ri)
-            sim = simulate.synthesize_record(ref, track, geom, window, hop, dt=dt)
-            record = simulate.add_record_noise(sim.record, snr_db, seed=seed + ri)
-            sim = simulate.SimulatedRecord(record, sim.truth, sim.tau1_s, sim.tau2_s)
-            datasets.append(sim)
-        report = evaluate.run_benchmark(BenchmarkGrid(), datasets, base)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PROCESS) from exc
+    for ri in range(n_records):
+        # record 0 replicates `simulate` with the same seed/window/hop/snr,
+        # so a bench cell can be cross-checked against a mapped record
+        track = simulate.make_track(
+            "random-walk", n_windows, seed=seed + 101 * ri,
+            az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
+            window_length=window, hop=hop,
+        )
+        needed = (n_windows - 1) * hop + window
+        ref = _reference_waveform(needed, dt, seed + 7 * ri)
+        sim = simulate.synthesize_record(ref, track, base.geometry, window, hop, dt=dt)
+        record = simulate.add_record_noise(sim.record, snr_db, seed=seed + ri)
+        sim = simulate.SimulatedRecord(record, sim.truth, sim.tau1_s, sim.tau2_s)
+        datasets.append(sim)
+    report = evaluate.run_benchmark(BenchmarkGrid(), datasets, base)
     try:
         evaluate.emit_report_csv(report, out, _config_comments(cfg))
         if cfg.get("markdown"):
@@ -421,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:  # any other failure is a processing error, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PROCESS
 
 
 if __name__ == "__main__":

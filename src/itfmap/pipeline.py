@@ -68,11 +68,23 @@ class MapResult:
 
 
 def denoise_record(record: SampleRecord, spec: FilterSpec) -> SampleRecord:
-    """Apply one filter spec to all three channels (before segmentation)."""
+    """Apply one filter spec to all three channels (before segmentation).
+
+    Non-finite samples (capture dropouts) are filtered as zeros and written
+    back as NaN afterwards, so only the windows that cover one turn
+    degenerate instead of the filter spreading it through the record.
+    """
     if spec is None:
         return record
-    chans = [denoise.apply_filter(record.channels[i], spec, record.sample_interval) for i in range(3)]
-    return SampleRecord(np.vstack(chans), record.sample_interval, record.label)
+    channels = record.channels
+    bad = None
+    if not np.isfinite(channels).all():
+        bad = ~np.isfinite(channels)
+        channels = np.where(bad, 0.0, channels)
+    filtered = np.vstack([denoise.apply_filter(ch, spec, record.sample_interval) for ch in channels])
+    if bad is not None:
+        filtered[bad] = np.nan
+    return SampleRecord(filtered, record.sample_interval, record.label)
 
 
 def correlate_window(

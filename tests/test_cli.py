@@ -113,7 +113,8 @@ class TestMapCommand:
         strip = lambda t: [l for l in t.splitlines() if not l.startswith("# output")]
         assert strip(a) == strip(b)
 
-    def test_nan_sample_skips_the_windows_covering_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("filt", ["none", "bpf", "kf", "wt-sym4-sure"])
+    def test_nan_sample_skips_the_windows_covering_it(self, tmp_path, capsys, filt):
         rec = self.make_record(tmp_path, windows=40, window=64, hop=4)
         lines = rec.read_text().splitlines()
         header = sum(1 for l in lines if l.startswith("#"))
@@ -123,7 +124,8 @@ class TestMapCommand:
         rec.write_text("\n".join(lines) + "\n")
         out = tmp_path / "m.csv"
         assert run("map", "--input", str(rec), "--output", str(out),
-                   "--window", "64", "--hop", "4", "--interp", "cubic:8") == EXIT_OK
+                   "--window", "64", "--hop", "4", "--interp", "cubic:8",
+                   "--filter", filt) == EXIT_OK
         covering = {i for i in range(40) if 4 * i <= 100 < 4 * i + 64}
         assert [r.window_index for r in pipeline.read_map_csv(out)] == [
             i for i in range(40) if i not in covering
@@ -132,6 +134,19 @@ class TestMapCommand:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--window", "0"],
+        ["bench", "--hop", "0"],
+        ["bench", "--baseline-m", "-1"],
+        ["bench", "--dt-ns", "0"],
+        ["simulate", "--baseline-m", "0"],
+        ["simulate", "--dt-ns", "0"],
+    ])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: invalid configuration:")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_file_plus_flag_override(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
         cfgf.write_text("window = 128\nhop = 4\nseed = 9  # comment\n")
