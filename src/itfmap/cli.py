@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,9 +159,12 @@ def _require(cfg: dict, key: str, code: int = EXIT_CONFIG):
     return cfg[key]
 
 
-def _pipeline_config(cfg: dict, default_hop: int = 1) -> tuple[pipeline.PipelineConfig, float]:
+def _pipeline_config(
+    cfg: dict, default_hop: int = 1, methods: tuple[str, ...] = ()
+) -> tuple[pipeline.PipelineConfig, float]:
     """The run configuration and the sample interval (s) from the merged
-    settings; any bad value exits 3."""
+    settings; any bad value exits 3, as does a window that one of `methods`,
+    the correlation methods the run also uses, cannot take."""
     try:
         dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
         if not 0 < dt < np.inf:
@@ -183,6 +187,8 @@ def _pipeline_config(cfg: dict, default_hop: int = 1) -> tuple[pipeline.Pipeline
             geometry=geom,
             signal_band=band,
         )
+        for method in methods:
+            replace(config, cc_method=method)
     except (ValueError, KeyError) as exc:
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
     return config, dt
@@ -289,7 +295,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
-    base, dt = _pipeline_config(cfg, default_hop=16)
+    base, dt = _pipeline_config(cfg, default_hop=16, methods=BenchmarkGrid().methods)
     window, hop = base.plan.window_length, base.plan.hop
     seed = int(cfg.get("seed", 0))
     n_records = int(getattr(args, "records", 2))

@@ -30,7 +30,8 @@ DEFAULT_LEVELS = 4
 
 @dataclass(frozen=True)
 class BandpassSpec:
-    order: int = DEFAULT_ORDER
+    """Butterworth band-pass of order `DEFAULT_ORDER` between the cut-offs."""
+
     low_hz: float = DEFAULT_BAND[0]
     high_hz: float = DEFAULT_BAND[1]
 
@@ -40,28 +41,22 @@ class BandpassSpec:
             raise ValueError(f"need 0 < low < high, got ({self.low_hz}, {self.high_hz})")
         if self.high_hz >= nyquist:
             raise ValueError(f"high cut-off {self.high_hz} at/above Nyquist {nyquist}")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
 
 
 @dataclass(frozen=True)
 class KalmanSpec:
-    """q/r of None means estimate from the signal (r from first-difference
-    variance over two, q = r/100)."""
-
-    process_var: float | None = None
-    measurement_var: float | None = None
+    """Local-level Kalman filter with q and r estimated from the signal
+    (see `estimate_kalman_vars`)."""
 
 
 @dataclass(frozen=True)
 class WaveletSpec:
+    """Wavelet denoising over `DEFAULT_LEVELS` levels."""
+
     basis: str = "sym4"
-    levels: int = DEFAULT_LEVELS
     rule: str = "sure"
 
     def validate(self) -> None:
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
         if self.rule not in wavelets.THRESHOLD_RULES:
             raise ValueError(f"unknown threshold rule {self.rule!r}")
         wavelets.get_basis(self.basis)  # raises KeyError on unknown basis
@@ -112,14 +107,9 @@ def apply_filter(signal: np.ndarray, spec: FilterSpec, dt: float) -> np.ndarray:
     if isinstance(spec, BandpassSpec):
         return bandpass_filter(signal, spec, dt)
     if isinstance(spec, KalmanSpec):
-        q, r = spec.process_var, spec.measurement_var
-        if r is None:
-            q, r = estimate_kalman_vars(signal)
-        elif q is None:
-            q = r / 100.0
-        return kalman_filter(signal, q, r)
+        return kalman_filter(signal, *estimate_kalman_vars(signal))
     if isinstance(spec, WaveletSpec):
-        return wavelet_denoise(signal, wavelets.get_basis(spec.basis), spec.levels, spec.rule)
+        return wavelet_denoise(signal, wavelets.get_basis(spec.basis), DEFAULT_LEVELS, spec.rule)
     raise TypeError(f"not a filter spec: {spec!r}")
 
 
@@ -131,7 +121,7 @@ def bandpass_filter(signal: np.ndarray, spec: BandpassSpec, dt: float) -> np.nda
     """
     spec.validate(dt)
     x = np.asarray(signal, dtype=np.float64)
-    sos = butter(spec.order, [spec.low_hz, spec.high_hz], btype="bandpass", fs=1.0 / dt, output="sos")
+    sos = butter(DEFAULT_ORDER, [spec.low_hz, spec.high_hz], btype="bandpass", fs=1.0 / dt, output="sos")
     return sosfiltfilt(sos, x)
 
 
@@ -147,7 +137,7 @@ def kalman_filter(signal: np.ndarray, q: float, r: float) -> np.ndarray:
 
 
 def estimate_kalman_vars(signal: np.ndarray) -> tuple[float, float]:
-    """Default (q, r) when unset: r from the first-difference variance over
+    """(q, r) for `kalman_filter`: r from the first-difference variance over
     two (white-noise estimate), q = r/100."""
     x = np.asarray(signal, dtype=np.float64)
     if len(x) < 3:

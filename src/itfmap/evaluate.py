@@ -109,7 +109,6 @@ class CellResult:
     mean_dist_deg: float
     records: int
     excluded_windows: int
-    per_record_deg: tuple[float, ...] = ()
 
 
 @dataclass
@@ -189,7 +188,6 @@ def run_benchmark(
 
     for (filter_id, method, interp_method, factor), stats_list in acc.items():
         scored = [s.mean_deg for s in stats_list if s.included > 0]
-        per_record = tuple(s.mean_deg for s in stats_list)
         report.cells.append(
             CellResult(
                 filter_id=filter_id,
@@ -199,7 +197,6 @@ def run_benchmark(
                 mean_dist_deg=float(np.mean(scored)) if scored else float("nan"),
                 records=len(scored),
                 excluded_windows=int(sum(s.excluded for s in stats_list)),
-                per_record_deg=per_record,
             )
         )
     return report

@@ -12,31 +12,38 @@ from pathlib import Path
 
 import numpy as np
 
-from itfmap import denoise, wavelets, xcorr
+from itfmap import denoise, xcorr
 from itfmap.denoise import FilterSpec
 from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdoa
 from itfmap.signals import SampleRecord, SegmentationPlan, Window, normalize_window, segment
 from itfmap.simulate import AngleTrack
-from itfmap.xcorr import CorrelationSeries, InterpSpec, TdoaEstimate
+from itfmap.xcorr import CorrelationSeries, InterpSpec
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one mapping run needs besides the record itself."""
+    """Everything one mapping run needs besides the record itself.
+
+    ccwd always runs on sym4 with `xcorr.DEFAULT_CCWD_LEVELS` undecimated
+    levels, so it needs windows of at least 2**levels samples.
+    """
 
     filter_spec: FilterSpec = None
     cc_method: str = "cctd"
     interp: InterpSpec = field(default_factory=InterpSpec)
     plan: SegmentationPlan = field(default_factory=SegmentationPlan)
     geometry: ArrayGeometry = field(default_factory=ArrayGeometry)
-    ccwd_basis: str = "sym4"
-    ccwd_levels: int = xcorr.DEFAULT_CCWD_LEVELS
     signal_band: tuple[float, float] = xcorr.DEFAULT_SIGNAL_BAND
-    center_frequency: float = xcorr.CENTER_FREQUENCY
 
     def __post_init__(self):
         if self.cc_method not in xcorr.CC_METHODS:
             raise ValueError(f"unknown correlation method {self.cc_method!r}")
+        min_window = 2**xcorr.DEFAULT_CCWD_LEVELS
+        if self.cc_method == "ccwd" and self.plan.window_length < min_window:
+            raise ValueError(
+                f"ccwd needs a window of at least {min_window} samples for its "
+                f"{xcorr.DEFAULT_CCWD_LEVELS} levels, got {self.plan.window_length}"
+            )
 
 
 @dataclass
@@ -44,7 +51,6 @@ class MapResult:
     """Direction estimates plus the per-window bookkeeping the scorer needs."""
 
     estimates: list[DirectionEstimate]
-    tdoas: list[tuple[TdoaEstimate, TdoaEstimate]]
     degenerate_windows: list[int]
     total_windows: int
     sample_interval: float
@@ -97,14 +103,7 @@ def correlate_window(
     if any(window.degenerate):
         return None
     b, c, d = window.segments
-    basis = wavelets.get_basis(config.ccwd_basis) if config.cc_method == "ccwd" else None
-    kw = dict(
-        method=config.cc_method,
-        basis=basis,
-        levels=config.ccwd_levels,
-        dt=dt,
-        band=config.signal_band,
-    )
+    kw = dict(method=config.cc_method, dt=dt, band=config.signal_band)
     return xcorr.correlate(b, c, **kw), xcorr.correlate(b, d, **kw)
 
 
@@ -143,22 +142,17 @@ def window_peaks(windows: list[Window], config: PipelineConfig, dt: float) -> Wi
 
 
 def solve_directions(wp: WindowPeaks, lags: np.ndarray, config: PipelineConfig, dt: float) -> MapResult:
-    """Delays and directions of the correlated windows, from `lags`: the
-    refined peak lags in the row order of `wp.peaks`."""
+    """Directions of the correlated windows, from `lags`: the refined peak
+    lags in the row order of `wp.peaks`."""
     estimates: list[DirectionEstimate] = []
-    tdoas: list[tuple[TdoaEstimate, TdoaEstimate]] = []
     coeffs = wp.peaks.coefficient.reshape(-1, 2).tolist()
     for idx, (lag_bc, lag_bd), (peak_bc, peak_bd) in zip(wp.index, lags.reshape(-1, 2).tolist(), coeffs):
-        tau1, phase1 = xcorr.lag_to_tdoa(lag_bc, dt, config.center_frequency)
-        tau2, phase2 = xcorr.lag_to_tdoa(lag_bd, dt, config.center_frequency)
-        tdoas.append((
-            TdoaEstimate(idx, xcorr.BASELINE_BC, lag_bc, tau1, peak_bc, phase1),
-            TdoaEstimate(idx, xcorr.BASELINE_BD, lag_bd, tau2, peak_bd, phase2),
-        ))
+        tau1, _ = xcorr.lag_to_tdoa(lag_bc, dt)
+        tau2, _ = xcorr.lag_to_tdoa(lag_bd, dt)
         estimates.append(direction_from_tdoa(
             tau1, tau2, config.geometry, window_index=idx, peak_coefficient=min(peak_bc, peak_bd)
         ))
-    return MapResult(estimates, tdoas, wp.degenerate, wp.total_windows, dt, config.plan.hop, config.plan.window_length)
+    return MapResult(estimates, wp.degenerate, wp.total_windows, dt, config.plan.hop, config.plan.window_length)
 
 
 def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:

@@ -41,7 +41,7 @@ class SampleRecord:
     channels : ndarray, shape (3, n)
         Antenna channels in B, C, D order (dimensionless amplitude).
     sample_interval : float
-        Seconds per sample, > 0.
+        Seconds per sample, finite and > 0.
     label : str
         Free-text tag carried through file round trips.
     """
@@ -54,8 +54,8 @@ class SampleRecord:
         arr = np.atleast_2d(np.asarray(self.channels, dtype=np.float64))
         if arr.ndim != 2 or arr.shape[0] != 3:
             raise ValueError(f"expected 3 channels, got shape {arr.shape}")
-        if not self.sample_interval > 0:
-            raise ValueError(f"sample_interval must be > 0, got {self.sample_interval}")
+        if not 0 < self.sample_interval < np.inf:
+            raise ValueError(f"sample_interval must be finite and > 0, got {self.sample_interval}")
         object.__setattr__(self, "channels", arr)
 
     @property
@@ -109,7 +109,6 @@ class Window:
     index: int
     start: int
     segments: np.ndarray
-    normalized: bool = False
     degenerate: tuple[bool, bool, bool] = (False, False, False)
 
     @property
@@ -151,7 +150,6 @@ def normalize_window(window: Window) -> Window:
     return replace(
         window,
         segments=segs,
-        normalized=True,
         degenerate=tuple(bool(f) for f in degenerate),
     )
 
@@ -219,8 +217,8 @@ def _load_csv(path: Path) -> SampleRecord:
             raise RecordFormatError(f"{path}:{ln}: non-numeric sample") from exc
     if dt is None:
         raise RecordFormatError(f"{path}: missing '# dt=<seconds>' header")
-    if dt <= 0:
-        raise RecordFormatError(f"{path}: non-positive sample interval {dt}")
+    if not 0 < dt < np.inf:
+        raise RecordFormatError(f"{path}: non-positive or non-finite sample interval {dt}")
     if not rows:
         raise RecordFormatError(f"{path}: no sample rows")
     data = np.array(rows, dtype=np.float64).T
@@ -247,8 +245,8 @@ def _load_raw(path: Path) -> SampleRecord:
     magic, length, dt = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise RecordFormatError(f"{path}: bad magic {magic!r}")
-    if dt <= 0:
-        raise RecordFormatError(f"{path}: non-positive sample interval {dt}")
+    if not 0 < dt < np.inf:
+        raise RecordFormatError(f"{path}: non-positive or non-finite sample interval {dt}")
     expected = _HEADER.size + 3 * length * 4
     if len(blob) != expected:
         raise RecordFormatError(

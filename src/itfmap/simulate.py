@@ -52,14 +52,13 @@ class AngleTrack:
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    """Track augmentation: Gaussian angle noise, outward scaling about the
-    centroid, horizontal flip.  Applied in that order, seeded."""
+    """Track augmentation: Gaussian elevation noise, outward scaling about
+    the centroid, horizontal flip.  Applied in that order, seeded."""
 
     noise_sigma: float = 1.0
     scale_factor: float = 1.2
     flip: bool = False
     seed: int = 0
-    noise_on_az: bool = False  # elevation noise is the baseline behavior; azimuth is opt-in
 
     def __post_init__(self):
         if self.scale_factor <= 0:
@@ -128,19 +127,17 @@ def make_track(
 def augment_track(track: AngleTrack, spec: AugmentSpec) -> AngleTrack:
     """Noise -> scale -> flip, deterministic per seed.
 
-    Noise adds N(0, sigma^2) to elevation (and azimuth when enabled); scaling
-    expands both angles outward about the track centroid; flip rotates the
-    azimuth by 180 degrees.  Elevation is re-clipped to [0, 90] after every
-    stage, which keeps the implied delays inside the transit gate (the delay
-    norm is (d/c) cos el <= d/c for any baseline).
+    Noise adds N(0, sigma^2) to elevation; scaling expands both angles
+    outward about the track centroid; flip rotates the azimuth by 180
+    degrees.  Elevation is re-clipped to [0, 90] after every stage, which
+    keeps the implied delays inside the transit gate (the delay norm is
+    (d/c) cos el <= d/c for any baseline).
     """
     az = track.az_deg.copy()
     el = track.el_deg.copy()
     rng = np.random.default_rng(spec.seed)
     if spec.noise_sigma > 0:
         el = el + rng.normal(0.0, spec.noise_sigma, len(el))
-        if spec.noise_on_az:
-            az = az + rng.normal(0.0, spec.noise_sigma, len(az))
         el = np.clip(el, 0.0, 90.0)
     if spec.scale_factor != 1.0:
         az_c = float(np.mean(az))

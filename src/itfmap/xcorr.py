@@ -29,9 +29,6 @@ DEFAULT_CCWD_LEVELS = 2
 INTERP_NEIGHBORHOOD = 8          # integer lags kept on each side of the peak
 REFINE_BATCH_ROWS = 256          # rows resampled together: bounds the dense-grid temporaries
 
-BASELINE_BC = "BC"
-BASELINE_BD = "BD"
-
 
 class DegenerateWindowError(ValueError):
     """Correlation requested on a zero-variance (flagged constant) segment."""
@@ -76,18 +73,6 @@ class InterpSpec:
 
     def label(self) -> str:
         return "none" if self.method == "none" or self.factor == 1 else f"{self.method}:{self.factor}"
-
-
-@dataclass(frozen=True)
-class TdoaEstimate:
-    """One baseline's per-window result: fractional lag, seconds, phase."""
-
-    window_index: int
-    baseline: str
-    lag_samples: float
-    tau_s: float
-    peak_coefficient: float
-    phase_rad: float
 
 
 def _validated(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -274,24 +259,22 @@ def lag_to_tdoa(lag_samples: float, dt: float, f: float = CENTER_FREQUENCY) -> t
 
 
 CC_METHODS = ("cctd", "ccfd", "ccwd")
+_CCWD_BASIS = wavelets.get_basis("sym4")  # resolved once, not per window
 
 
 def correlate(
     x: np.ndarray,
     y: np.ndarray,
     method: str,
-    basis: WaveletBasis | None = None,
-    levels: int = DEFAULT_CCWD_LEVELS,
     dt: float = 4e-9,
     band: tuple[float, float] = DEFAULT_SIGNAL_BAND,
 ) -> CorrelationSeries:
-    """Method-string dispatch (``cctd`` | ``ccfd`` | ``ccwd``)."""
+    """Method-string dispatch (``cctd`` | ``ccfd`` | ``ccwd``); ``ccwd`` runs
+    on sym4 at `DEFAULT_CCWD_LEVELS` levels."""
     if method == "cctd":
         return cc_time(x, y)
     if method == "ccfd":
         return cc_freq(x, y)
     if method == "ccwd":
-        if basis is None:
-            basis = wavelets.get_basis("sym4")
-        return cc_wavelet(x, y, basis, levels=levels, dt=dt, band=band)
+        return cc_wavelet(x, y, _CCWD_BASIS, dt=dt, band=band)
     raise ValueError(f"unknown correlation method {method!r}")

@@ -235,7 +235,7 @@ def test_criterion_7_transit_gate_fuzz(tmp_path, criterion_reporter):
             assert not est.valid
             assert est.az_deg is None and est.el_deg is None
         estimates.append(est)
-    result = pipeline.MapResult(estimates, [], [], 5000, DT, 1, 256)
+    result = pipeline.MapResult(estimates, [], 5000, DT, 1, 256)
     csv_path = pipeline.write_map_csv(result, tmp_path / "fuzz.csv")
     text = csv_path.read_text().lower()
     ok = n_beyond > 1000 and "nan" not in text

@@ -89,6 +89,36 @@ class TestMapCommand:
         assert code == EXIT_PROCESS
         assert "window" in err and "record" in err
 
+    def test_nonfinite_dt_is_input_error(self, tmp_path, capsys):
+        rec = self.make_record(tmp_path, windows=10, window=64)
+        lines = rec.read_text().splitlines()
+        for dt in ("inf", "1e400"):
+            rec.write_text("\n".join(f"# dt={dt}" if l.startswith("# dt=") else l for l in lines) + "\n")
+            for cc in ("cctd", "ccwd"):
+                assert run("map", "--input", str(rec), "--output", str(tmp_path / "m.csv"),
+                           "--window", "64", "--cc", cc) == EXIT_INPUT
+                assert "non-finite sample interval" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--cc", "ccwd", "--window", "2"],
+        ["map", "--cc", "ccwd", "--window", "3"],
+        ["bench", "--window", "3"],
+    ])
+    def test_window_too_short_for_ccwd_is_config_error(self, tmp_path, capsys, argv):
+        rec = self.make_record(tmp_path, windows=10, window=64)
+        out = tmp_path / "o.csv"
+        assert run(*argv, "--input", str(rec), "--output", str(out)) == EXIT_CONFIG
+        assert "ccwd needs a window of at least 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shortest_ccwd_window_maps(self, tmp_path):
+        rec = self.make_record(tmp_path, windows=10, window=64)
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out),
+                   "--cc", "ccwd", "--window", "4", "--hop", "8") == EXIT_OK
+        assert out.exists()
+
     def test_bad_filter_is_config_error(self, tmp_path):
         rec = self.make_record(tmp_path, windows=10, window=64)
         assert run("map", "--input", str(rec), "--output", str(tmp_path / "m.csv"),

@@ -63,18 +63,15 @@ class TestMapRecord:
         assert res.total_windows == 60
         assert len(res.estimates) == 60
 
-    def test_tdoa_records_carry_baselines(self):
-        sim = fixture_sim(n_win=20)
-        cfg = PipelineConfig(plan=SegmentationPlan(128, 8), geometry=G)
-        res = map_record(sim.record, cfg)
-        bc, bd = res.tdoas[0]
-        assert bc.baseline == "BC" and bd.baseline == "BD"
-        assert bc.tau_s == pytest.approx(bc.lag_samples * DT)
-        assert bc.phase_rad == pytest.approx(2 * np.pi * 60e6 * bc.tau_s)
-
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="correlation method"):
             PipelineConfig(cc_method="ccxx")
+
+    def test_ccwd_needs_a_window_of_two_to_the_levels(self):
+        with pytest.raises(ValueError, match="ccwd needs a window of at least 4"):
+            PipelineConfig(cc_method="ccwd", plan=SegmentationPlan(3, 1))
+        PipelineConfig(cc_method="ccwd", plan=SegmentationPlan(4, 1))
+        PipelineConfig(cc_method="cctd", plan=SegmentationPlan(2, 1))
 
 
 class TestMapCsv:
@@ -99,7 +96,7 @@ class TestMapCsv:
             pipeline.DirectionEstimate(0, 10.0, 20.0, True, 0.9, 0.8),
             pipeline.DirectionEstimate(1, None, None, False, 1.4, 0.2),
         ]
-        res = MapResult(est, [], [], 2, DT, 1, 64)
+        res = MapResult(est, [], 2, DT, 1, 64)
         text = write_map_csv(res, tmp_path / "m.csv").read_text()
         assert "nan" not in text.lower()
         row = text.splitlines()[-1]

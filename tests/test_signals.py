@@ -1,5 +1,7 @@
 """Record I/O, segmentation arithmetic, and window normalization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,9 @@ class TestSampleRecord:
             SampleRecord(np.zeros((2, 10)))
 
     def test_sample_interval_positive(self):
-        with pytest.raises(ValueError, match="sample_interval"):
-            SampleRecord(np.zeros((3, 10)), sample_interval=0.0)
+        for dt in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sample_interval"):
+                SampleRecord(np.zeros((3, 10)), sample_interval=dt)
 
     def test_channel_views(self):
         rec = make_record(16)
@@ -68,9 +71,10 @@ class TestCsvFormat:
 
     def test_nonpositive_dt_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("# dt=-1e-9\n1.0,2.0,3.0\n")
-        with pytest.raises(RecordFormatError, match="non-positive"):
-            load_record(p)
+        for dt in ("-1e-9", "inf", "1e400", "nan"):
+            p.write_text(f"# dt={dt}\n1.0,2.0,3.0\n")
+            with pytest.raises(RecordFormatError, match="non-positive"):
+                load_record(p)
 
 
 class TestRawBinaryFormat:
@@ -93,6 +97,13 @@ class TestRawBinaryFormat:
         p.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(RecordFormatError, match="magic"):
             load_record(p, "raw-binary")
+
+    def test_nonpositive_dt_rejected(self, tmp_path):
+        p = tmp_path / "bad.bin"
+        for dt in (0.0, -4e-9, np.inf, np.nan):
+            p.write_bytes(struct.pack("<4sIf4x", b"ITFR", 1, dt) + bytes(12))
+            with pytest.raises(RecordFormatError, match="non-positive"):
+                load_record(p)
 
     def test_truncated_rejected(self, tmp_path):
         rec = make_record(64)

@@ -1,12 +1,17 @@
 """Filter-bank identities, periodic DWT reconstruction, undecimated pyramid."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from itfmap import wavelets
+from itfmap._wavelet_tables import SCALING_FILTERS
 from itfmap.wavelets import get_basis
 
 ALL_BASES = wavelets.available_bases()
+TABLE_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_wavelet_tables.py"
 
 
 class TestFilterBanks:
@@ -20,6 +25,24 @@ class TestFilterBanks:
     @pytest.mark.parametrize("name,length", [("sym4", 8), ("coif5", 30), ("db10", 20), ("fk14", 14)])
     def test_lengths(self, name, length):
         assert get_basis(name).length == length
+
+    def test_tables_match_their_generator(self):
+        """The shipped tables are what tools/make_wavelet_tables.py derives
+        (its `main()`, which rewrites them, is not called): sym4, coif5 and
+        db10 bit for bit; fk14 within 1e-7, as its iterative projection moves
+        with the linear-algebra library."""
+        spec = importlib.util.spec_from_file_location("make_wavelet_tables", TABLE_TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        derived = {
+            "sym4": tool.make_symlet(4, tool.SYM4_REF),
+            "coif5": tool.make_coiflet5(),
+            "db10": tool.make_daubechies(10),
+            "fk14": tool.make_fk14(),
+        }
+        for name in ("sym4", "coif5", "db10"):
+            assert derived[name].tolist() == list(SCALING_FILTERS[name]), name
+        np.testing.assert_allclose(derived["fk14"], SCALING_FILTERS["fk14"], rtol=0, atol=1e-7)
 
     def test_unknown_basis(self):
         with pytest.raises(KeyError, match="unknown wavelet basis"):

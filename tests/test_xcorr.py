@@ -255,7 +255,12 @@ ALL_SPECS = [InterpSpec()] + [
 
 def adversarial_rows(W, rng):
     """Coefficient rows over lags -(W-1)..W-1 that stress the tie breaks and
-    the clipped neighborhoods, plus smooth and random ones."""
+    the clipped neighborhoods, plus smooth and random ones.
+
+    The near ties (a neighbor one or two ulps below the peak) are where
+    linear refinement moves off the integer peak: rounding in the linear
+    formula can lift an interior point to the peak value, and the tie break
+    then picks it, so these rows pin that formula's rounding."""
     L = W - 1
     lags = np.arange(-L, L + 1)
     rows = [rng.uniform(-1, 1, 2 * L + 1) for _ in range(40)]
@@ -272,6 +277,14 @@ def adversarial_rows(W, rng):
         rows.append(plateau)
     for _ in range(20):
         rows.append(np.cos((lags - rng.uniform(-L, L)) / rng.uniform(1.0, 6.0)))
+    for k in sorted(set(range(-min(6, L), min(6, L) + 1)) | {-L, 1 - L, L - 1, L}):  # near ties
+        for side in (-1, 1):
+            if 0 <= L + k + side <= 2 * L:
+                for ulps in (1, 2):
+                    r = rng.uniform(-1, 0.5, 2 * L + 1)
+                    r[L + k] = peak = rng.uniform(0.5, 1.0)
+                    r[L + k + side] = peak - ulps * np.spacing(peak)
+                    rows.append(r)
     return lags, np.array(rows)
 
 
