@@ -12,6 +12,7 @@ unreadable input, 5 write failure, 6 processing error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -160,11 +161,12 @@ def _require(cfg: dict, key: str, code: int = EXIT_CONFIG):
 
 
 def _pipeline_config(
-    cfg: dict, default_hop: int = 1, methods: tuple[str, ...] = ()
+    cfg: dict, default_hop: int = 1, grid: BenchmarkGrid | None = None
 ) -> tuple[pipeline.PipelineConfig, float]:
     """The run configuration and the sample interval (s) from the merged
-    settings; any bad value exits 3, as does a window that one of `methods`,
-    the correlation methods the run also uses, cannot take."""
+    settings; any bad value exits 3, as does a window or sample interval that
+    a filter or correlation method of `grid`, when the run sweeps one, cannot
+    take."""
     try:
         dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
         if not 0 < dt < np.inf:
@@ -187,8 +189,9 @@ def _pipeline_config(
             geometry=geom,
             signal_band=band,
         )
-        for method in methods:
-            replace(config, cc_method=method)
+        if grid is not None:
+            for filter_id, method in itertools.product(grid.filters, grid.methods):
+                replace(config, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt)
     except (ValueError, KeyError) as exc:
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
     return config, dt
@@ -276,6 +279,10 @@ def cmd_map(args: argparse.Namespace) -> int:
             "requires window_length <= record length",
             EXIT_PROCESS,
         )
+    try:
+        config.check_record(record.sample_interval, record.length)
+    except ValueError as exc:
+        raise CliError(f"invalid configuration for {inp}: {exc}", EXIT_CONFIG) from exc
     result = pipeline.map_record(record, config)
     comments = _config_comments(cfg)
     try:
@@ -295,7 +302,8 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
-    base, dt = _pipeline_config(cfg, default_hop=16, methods=BenchmarkGrid().methods)
+    grid = BenchmarkGrid()
+    base, dt = _pipeline_config(cfg, default_hop=16, grid=grid)
     window, hop = base.plan.window_length, base.plan.hop
     seed = int(cfg.get("seed", 0))
     n_records = int(getattr(args, "records", 2))
@@ -318,7 +326,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         record = simulate.add_record_noise(sim.record, snr_db, seed=seed + ri)
         sim = simulate.SimulatedRecord(record, sim.truth, sim.tau1_s, sim.tau2_s)
         datasets.append(sim)
-    report = evaluate.run_benchmark(BenchmarkGrid(), datasets, base)
+    report = evaluate.run_benchmark(grid, datasets, base)
     try:
         evaluate.emit_report_csv(report, out, _config_comments(cfg))
         if cfg.get("markdown"):

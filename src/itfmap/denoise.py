@@ -120,9 +120,29 @@ def bandpass_filter(signal: np.ndarray, spec: BandpassSpec, dt: float) -> np.nda
     group delay, so downstream correlation lags carry no filter bias.
     """
     spec.validate(dt)
-    x = np.asarray(signal, dtype=np.float64)
-    sos = butter(DEFAULT_ORDER, [spec.low_hz, spec.high_hz], btype="bandpass", fs=1.0 / dt, output="sos")
-    return sosfiltfilt(sos, x)
+    return sosfiltfilt(_bandpass_sos(spec, dt), np.asarray(signal, dtype=np.float64))
+
+
+def _bandpass_sos(spec: BandpassSpec, dt: float) -> np.ndarray:
+    return butter(DEFAULT_ORDER, [spec.low_hz, spec.high_hz], btype="bandpass", fs=1.0 / dt, output="sos")
+
+
+def check_input(spec: FilterSpec, dt: float, length: int | None = None) -> None:
+    """Raise ValueError when `apply_filter` cannot filter a channel sampled
+    every `dt` seconds (and `length` samples long, when given): a band-pass
+    cut-off at or above Nyquist, or fewer samples than the band-pass edge
+    padding or the wavelet levels need."""
+    if isinstance(spec, BandpassSpec):
+        spec.validate(dt)
+        sos = _bandpass_sos(spec, dt)
+        # sosfiltfilt's default edge padding, which the signal must exceed
+        need = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())) + 1
+    elif isinstance(spec, WaveletSpec):
+        need = 2**DEFAULT_LEVELS
+    else:
+        return
+    if length is not None and length < need:
+        raise ValueError(f"filter {filter_label(spec)} needs at least {need} samples, got {length}")
 
 
 def kalman_filter(signal: np.ndarray, q: float, r: float) -> np.ndarray:

@@ -15,11 +15,12 @@ import numpy as np
 
 from itfmap import xcorr
 from itfmap.denoise import FilterSpec, parse_filter_spec
-# direction_from_tdoa and correlate_window run inside the pipeline stages;
-# perfbench's tracer expects them bound here as well
+# direction_from_tdoa, correlate_window, normalize_window and segment are the
+# one-window forms of the pipeline stages; perfbench's tracer expects them
+# bound here as well
 from itfmap.geometry import direction_from_tdoa  # noqa: F401
 from itfmap.pipeline import PipelineConfig, correlate_window, denoise_record, solve_directions, window_peaks  # noqa: F401
-from itfmap.signals import normalize_window, segment
+from itfmap.signals import normalize_window, segment  # noqa: F401
 from itfmap.simulate import AngleTrack, SimulatedRecord
 from itfmap.xcorr import InterpSpec
 
@@ -135,11 +136,11 @@ def run_benchmark(
 ) -> ErrorReport:
     """Score every grid cell on every dataset.
 
-    Per dataset and filter the denoised record is computed once, and per
-    correlation method the window correlation peaks are computed once; the
-    eight interpolation variants then share them, refined together in one
-    batch.  Every cell value equals a full independent pipeline run (purity
-    makes the caching invisible).
+    Per dataset and filter the denoised record is computed once, and its
+    windows are normalized once per block for every correlation method; per
+    method the eight interpolation variants share the correlation peaks,
+    refined together in one batch.  Every cell value equals a full
+    independent pipeline run (purity makes the caching invisible).
     Distances are averaged per record first, then across records.
     """
     if not datasets:
@@ -167,11 +168,9 @@ def run_benchmark(
         dt = ds.record.sample_interval
         for filter_id in grid.filters:
             spec: FilterSpec = parse_filter_spec(filter_id)
-            filtered = denoise_record(ds.record, spec)
-            windows = [normalize_window(w) for w in segment(filtered, base.plan)]
-            for method in grid.methods:
+            peaks = window_peaks(denoise_record(ds.record, spec), base, grid.methods)
+            for method, wp in peaks.items():
                 config = replace(base, filter_spec=spec, cc_method=method)
-                wp = window_peaks(windows, config, dt)
                 scores = {}
                 for interp, lags in zip(specs, xcorr.refine_peaks(wp.peaks, specs)):
                     try:
@@ -181,7 +180,7 @@ def run_benchmark(
                         # every window gate-failed for this record: the
                         # cell still reports, with the record unscored
                         scores[interp] = ErrorStats(
-                            mean_deg=float("nan"), included=0, excluded=len(windows)
+                            mean_deg=float("nan"), included=0, excluded=wp.total_windows
                         )
                 for (interp_method, factor), interp in cell_specs.items():
                     acc[(filter_id, method, interp_method, factor)].append(scores[interp])

@@ -7,17 +7,24 @@ same code path.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from itfmap import denoise, xcorr
 from itfmap.denoise import FilterSpec
 from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdoa
-from itfmap.signals import SampleRecord, SegmentationPlan, Window, normalize_window, segment
+from itfmap.signals import SampleRecord, SegmentationPlan, Window, normalize_segments
+# the one-window forms of what `window_peaks` does a block at a time;
+# perfbench's tracer expects them bound here
+from itfmap.signals import normalize_window, segment  # noqa: F401
 from itfmap.simulate import AngleTrack
 from itfmap.xcorr import CorrelationSeries, InterpSpec
+
+WINDOW_CHUNK = 32  # windows normalized and correlated together: bounds the block temporaries
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,14 @@ class PipelineConfig:
                 f"ccwd needs a window of at least {min_window} samples for its "
                 f"{xcorr.DEFAULT_CCWD_LEVELS} levels, got {self.plan.window_length}"
             )
+
+    def check_record(self, dt: float, length: int | None = None) -> None:
+        """Raise ValueError when the filter or the correlation method cannot
+        run on a record sampled every `dt` seconds (and `length` samples
+        long, when given)."""
+        denoise.check_input(self.filter_spec, dt, length)
+        if self.cc_method == "ccwd":
+            xcorr.band_levels(xcorr.DEFAULT_CCWD_LEVELS, dt, self.signal_band)
 
 
 @dataclass
@@ -102,9 +117,9 @@ def correlate_window(
     any needed channel is degenerate."""
     if any(window.degenerate):
         return None
-    b, c, d = window.segments
-    kw = dict(method=config.cc_method, dt=dt, band=config.signal_band)
-    return xcorr.correlate(b, c, **kw), xcorr.correlate(b, d, **kw)
+    bc, bd = xcorr.correlate_block(window.segments[:, None], config.cc_method, dt, config.signal_band)[0]
+    lags = np.arange(1 - window.length, window.length)
+    return CorrelationSeries(lags, bc), CorrelationSeries(lags, bd)
 
 
 @dataclass(frozen=True)
@@ -118,27 +133,37 @@ class WindowPeaks:
     peaks: xcorr.PeakNeighborhoods
 
 
-def window_peaks(windows: list[Window], config: PipelineConfig, dt: float) -> WindowPeaks:
-    """Correlate every window on both baselines, keeping only each series'
-    integer peak and neighborhood, never all the full series at once."""
-    rows = 2 * len(windows)
-    lag = np.zeros(rows, dtype=np.int64)
-    coefficient = np.zeros(rows)
-    neighborhood = np.zeros((rows, 2 * xcorr.INTERP_NEIGHBORHOOD + 1))
+def window_peaks(
+    record: SampleRecord, config: PipelineConfig, methods: Sequence[str] | None = None
+) -> dict[str, WindowPeaks]:
+    """Normalize the record's windows and correlate them on both baselines
+    by each of `methods` (default `config.cc_method`), `WINDOW_CHUNK`
+    windows at a time, keeping only each series' integer peak and
+    neighborhood: memory holds one block, never all the windows."""
+    w, total = config.plan.window_length, config.plan.count(record.length)
+    views = sliding_window_view(record.channels, w, axis=1)[:, :: config.plan.hop]
     index: list[int] = []
     degenerate: list[int] = []
-    for win in windows:
-        pair = correlate_window(win, config, dt)
-        if pair is None:
-            degenerate.append(win.index)
+    parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods or (config.cc_method,)}
+    for start in range(0, total, WINDOW_CHUNK):
+        # order K keeps each window's memory layout, so its means sum in the
+        # same order as `normalize_window`'s one-window copy
+        block = views[:, start : start + WINDOW_CHUNK].copy(order="K")
+        bad = normalize_segments(block).any(axis=0)
+        degenerate += (start + np.flatnonzero(bad)).tolist()
+        index += (start + np.flatnonzero(~bad)).tolist()
+        if bad.all():
             continue
-        p = xcorr.peak_neighborhoods(np.vstack([s.coefficients for s in pair]))
-        k = slice(2 * len(index), 2 * len(index) + 2)
-        lag[k], coefficient[k], neighborhood[k] = p.lag, p.coefficient, p.neighborhood
-        index.append(win.index)
-    n = 2 * len(index)
-    peaks = xcorr.PeakNeighborhoods(config.plan.window_length - 1, lag[:n], coefficient[:n], neighborhood[:n])
-    return WindowPeaks(index, degenerate, len(windows), peaks)
+        good = block[:, ~bad] if bad.any() else block
+        for m, found in parts.items():
+            coeff = xcorr.correlate_block(good, m, record.sample_interval, config.signal_band)
+            found.append(xcorr.peak_neighborhoods(coeff.reshape(-1, 2 * w - 1)))
+    fields = ("lag", "coefficient", "neighborhood")
+    return {
+        m: WindowPeaks(index, degenerate, total, xcorr.PeakNeighborhoods(
+            w - 1, *(np.concatenate([getattr(p, f) for p in found]) for f in fields)))
+        for m, found in parts.items()
+    }
 
 
 def solve_directions(wp: WindowPeaks, lags: np.ndarray, config: PipelineConfig, dt: float) -> MapResult:
@@ -157,12 +182,9 @@ def solve_directions(wp: WindowPeaks, lags: np.ndarray, config: PipelineConfig, 
 
 def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:
     """Run the full chain on one record."""
-    filtered = denoise_record(record, config.filter_spec)
-    dt = record.sample_interval
-    # the normalized windows are freed once correlated, before refinement
-    wp = window_peaks([normalize_window(w) for w in segment(filtered, config.plan)], config, dt)
+    wp = window_peaks(denoise_record(record, config.filter_spec), config)[config.cc_method]
     (lags,) = xcorr.refine_peaks(wp.peaks, [config.interp])
-    return solve_directions(wp, lags, config, dt)
+    return solve_directions(wp, lags, config, record.sample_interval)
 
 
 # ----------------------------------------------------------------------

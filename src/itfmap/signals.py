@@ -140,18 +140,20 @@ def normalize_window(window: Window) -> Window:
     if window.length < 2:
         raise ValueError("window must have at least 2 samples per segment")
     segs = window.segments.astype(np.float64, copy=True)
+    degenerate = normalize_segments(segs)
+    return replace(window, segments=segs, degenerate=tuple(bool(f) for f in degenerate))
+
+
+def normalize_segments(segments: np.ndarray) -> np.ndarray:
+    """`normalize_window` of float64 segments along their last axis, in
+    place; returns the degenerate flag of every segment."""
     with np.errstate(invalid="ignore"):  # inf - inf; such segments are flagged below
-        segs -= segs.mean(axis=1, keepdims=True)
-    peaks = np.max(np.abs(segs), axis=1)
+        segments -= segments.mean(axis=-1, keepdims=True)
+    peaks = np.max(np.abs(segments), axis=-1)
     degenerate = ~((peaks >= _DEGENERATE_EPS) & (peaks < np.inf))  # NaN and inf too
-    segs[degenerate] = 0.0
-    safe = np.where(degenerate, 1.0, peaks)
-    segs /= safe[:, None]
-    return replace(
-        window,
-        segments=segs,
-        degenerate=tuple(bool(f) for f in degenerate),
-    )
+    segments[degenerate] = 0.0
+    segments /= np.where(degenerate, 1.0, peaks)[..., None]
+    return degenerate
 
 
 # ----------------------------------------------------------------------

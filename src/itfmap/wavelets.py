@@ -154,6 +154,29 @@ def waverec(coeffs: list[np.ndarray], basis: WaveletBasis) -> np.ndarray:
 # Undecimated (shift-invariant) transform
 # ----------------------------------------------------------------------
 
+def level_filters(basis: WaveletBasis, levels: int) -> list[np.ndarray]:
+    """(lowpass, highpass) rows of each undecimated level 1 .. `levels`: the
+    bank's pair scaled by 1/sqrt(2) and upsampled by 2^(j-1)."""
+    bank = np.array([basis.dec_lo, basis.dec_hi]) / sqrt(2.0)
+    out = []
+    for j in range(levels):
+        pair = np.zeros((2, (basis.length - 1) * 2**j + 1))
+        pair[:, :: 2**j] = bank
+        out.append(pair)
+    return out
+
+
+def modwt_levels(x: np.ndarray, filters: list[np.ndarray], approximation: bool = True) -> list[np.ndarray]:
+    """`modwt` of a float64 `x` on prebuilt `level_filters`, unchecked; the
+    last approximation is computed and returned only with `approximation`."""
+    out, v = [], x
+    for j, (hj, gj) in enumerate(filters, start=1):
+        out.append(np.convolve(v, gj)[: len(x)])
+        if approximation or j < len(filters):
+            v = np.convolve(v, hj)[: len(x)]
+    return out + [v] if approximation else out
+
+
 def modwt(x: np.ndarray, basis: WaveletBasis, levels: int) -> list[np.ndarray]:
     """Undecimated (shift-invariant) pyramid: per-level detail sequences,
     each the length of the input.
@@ -174,21 +197,7 @@ def modwt(x: np.ndarray, basis: WaveletBasis, levels: int) -> list[np.ndarray]:
         raise ValueError("levels must be >= 1")
     if n < 2**levels:
         raise ValueError(f"signal of {n} samples too short for {levels} levels")
-    h = basis.dec_lo / sqrt(2.0)
-    g = basis.dec_hi / sqrt(2.0)
-    out: list[np.ndarray] = []
-    v = x
-    for j in range(1, levels + 1):
-        stride = 2 ** (j - 1)
-        hj = np.zeros((len(h) - 1) * stride + 1)
-        gj = np.zeros_like(hj)
-        hj[::stride] = h
-        gj[::stride] = g
-        w = np.convolve(v, gj, mode="full")[:n]
-        v = np.convolve(v, hj, mode="full")[:n]
-        out.append(w)
-    out.append(v)
-    return out
+    return modwt_levels(x, level_filters(basis, levels))
 
 
 def level_band(level: int, dt: float) -> tuple[float, float]:

@@ -2,6 +2,8 @@
 
 Three routes to the same lag axis: direct time-domain (`cc_time`), conjugate
 spectral product (`cc_freq`) and undecimated-wavelet-domain (`cc_wavelet`).
+`correlate_block` runs them on a block of windows at once; the `cc_*`
+functions and `correlate` are its one-pair forms.
 `peak_neighborhoods` and `refine_peaks` find and interpolate the peaks of
 many series at once (`refine_peak` is the one-series form); `lag_to_tdoa`
 converts lags to seconds and phase.
@@ -75,17 +77,15 @@ class InterpSpec:
         return "none" if self.method == "none" or self.factor == 1 else f"{self.method}:{self.factor}"
 
 
-def _validated(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _validated(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The one-window block (see `correlate_block`) pairing x with y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("expected two equal-length 1-D segments")
     if len(x) < 2:
         raise ValueError("segments must have at least 2 samples")
-    denom = float(np.linalg.norm(x) * np.linalg.norm(y))
-    if denom == 0.0:
-        raise DegenerateWindowError("zero-variance segment has no correlation")
-    return x, y, denom
+    return np.stack([x, y])[:, None]
 
 
 def _lag_axis(n: int) -> np.ndarray:
@@ -94,20 +94,13 @@ def _lag_axis(n: int) -> np.ndarray:
 
 def cc_time(x: np.ndarray, y: np.ndarray) -> CorrelationSeries:
     """Direct sliding-dot-product correlation, normalized by ||x|| ||y||."""
-    x, y, denom = _validated(x, y)
-    return CorrelationSeries(_lag_axis(len(x)), correlate_full(x, y) / denom)
+    return correlate(x, y, "cctd")
 
 
 def cc_freq(x: np.ndarray, y: np.ndarray) -> CorrelationSeries:
     """Same contract as `cc_time`, via inverse transform of conj(X) * Y with
     zero padding to at least 2W-1 points."""
-    x, y, denom = _validated(x, y)
-    n = len(x)
-    m = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    spec = np.conj(np.fft.rfft(x, m)) * np.fft.rfft(y, m)
-    c = np.fft.irfft(spec, m)
-    coeff = np.concatenate([c[m - (n - 1):], c[:n]]) / denom
-    return CorrelationSeries(_lag_axis(n), coeff)
+    return correlate(x, y, "ccfd")
 
 
 def cc_wavelet(
@@ -125,28 +118,43 @@ def cc_wavelet(
     cross-correlated and the normalized per-level series are averaged with
     weights given by the geometric mean of the two segments' level energies.
     """
-    x, y, _ = _validated(x, y)
+    coeff = _cross_wavelet(_validated(x, y), wavelets.level_filters(basis, levels), band_levels(levels, dt, band))
+    return CorrelationSeries(_lag_axis(len(x)), coeff[0, 0])
+
+
+def band_levels(levels: int, dt: float, band: tuple[float, float]) -> list[int]:
+    """`wavelets.levels_in_band`, raising ValueError when no level is in band."""
     selected = wavelets.levels_in_band(levels, dt, band)
     if not selected:
-        raise ValueError(
-            f"no decomposition level of {levels} intersects band {band} at dt={dt}"
-        )
-    wx = wavelets.modwt(x, basis, levels)
-    wy = wavelets.modwt(y, basis, levels)
-    acc = np.zeros(2 * len(x) - 1)
-    wsum = 0.0
-    for j in selected:
-        dxj, dyj = wx[j - 1], wy[j - 1]
-        ex = float(np.dot(dxj, dxj))
-        ey = float(np.dot(dyj, dyj))
-        if ex == 0.0 or ey == 0.0:
-            continue
-        weight = np.sqrt(ex * ey)
-        acc += weight * (correlate_full(dxj, dyj) / np.sqrt(ex * ey))
-        wsum += weight
-    if wsum == 0.0:
-        raise DegenerateWindowError("no detail energy in the selected levels")
-    return CorrelationSeries(_lag_axis(len(x)), acc / wsum)
+        raise ValueError(f"no decomposition level of {levels} intersects band {band} at dt={dt}")
+    return selected
+
+
+def _cross_wavelet(block: np.ndarray, filters: list[np.ndarray], selected: list[int]) -> np.ndarray:
+    """The ccwd rows of `correlate_block` on undecimated `filters`, averaging
+    the `selected` levels (see `cc_wavelet`)."""
+    n = block.shape[-1]
+    if n < 2 ** len(filters):
+        raise ValueError(f"signal of {n} samples too short for {len(filters)} levels")
+
+    def in_band(segment):  # deeper levels and the last approximation go unused
+        details = wavelets.modwt_levels(segment, filters[: max(selected)], approximation=False)
+        return [(details[j - 1], float(np.dot(details[j - 1], details[j - 1]))) for j in selected]
+
+    out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
+    for k in range(block.shape[1]):
+        bx = in_band(block[0, k])
+        for p in range(1, len(block)):
+            acc, wsum = np.zeros(2 * n - 1), 0.0
+            for (dx, ex), (dy, ey) in zip(bx, in_band(block[p, k])):
+                if ex != 0.0 and ey != 0.0:
+                    weight = np.sqrt(ex * ey)
+                    acc += weight * (correlate_full(dx, dy) / np.sqrt(ex * ey))
+                    wsum += weight
+            if wsum == 0.0:
+                raise DegenerateWindowError("no detail energy in the selected levels")
+            out[k, p - 1] = acc / wsum
+    return out
 
 
 def _argmax_nearest_zero(curves: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -259,7 +267,7 @@ def lag_to_tdoa(lag_samples: float, dt: float, f: float = CENTER_FREQUENCY) -> t
 
 
 CC_METHODS = ("cctd", "ccfd", "ccwd")
-_CCWD_BASIS = wavelets.get_basis("sym4")  # resolved once, not per window
+_CCWD_FILTERS = wavelets.level_filters(wavelets.get_basis("sym4"), DEFAULT_CCWD_LEVELS)  # built once
 
 
 def correlate(
@@ -269,12 +277,41 @@ def correlate(
     dt: float = 4e-9,
     band: tuple[float, float] = DEFAULT_SIGNAL_BAND,
 ) -> CorrelationSeries:
-    """Method-string dispatch (``cctd`` | ``ccfd`` | ``ccwd``); ``ccwd`` runs
-    on sym4 at `DEFAULT_CCWD_LEVELS` levels."""
-    if method == "cctd":
-        return cc_time(x, y)
-    if method == "ccfd":
-        return cc_freq(x, y)
+    """Method-string dispatch (``cctd`` | ``ccfd`` | ``ccwd``) on one pair:
+    a one-window `correlate_block`."""
+    return CorrelationSeries(_lag_axis(len(x)), correlate_block(_validated(x, y), method, dt, band)[0, 0])
+
+
+def correlate_block(
+    block: np.ndarray,
+    method: str,
+    dt: float = 4e-9,
+    band: tuple[float, float] = DEFAULT_SIGNAL_BAND,
+) -> np.ndarray:
+    """Correlation coefficients of each window's first segment with each of
+    its others, by `method`; ``ccwd`` runs on sym4 at `DEFAULT_CCWD_LEVELS`
+    levels.
+
+    `block` is a (1 + P, K, W) float64 array of K windows; the result is a
+    (K, P, 2W - 1) array over lags -(W-1) .. W-1.  A segment's norm, and
+    its spectrum (ccfd) or detail levels (ccwd), are computed once however
+    many pairs it is in.
+    """
     if method == "ccwd":
-        return cc_wavelet(x, y, _CCWD_BASIS, dt=dt, band=band)
-    raise ValueError(f"unknown correlation method {method!r}")
+        return _cross_wavelet(block, _CCWD_FILTERS, band_levels(DEFAULT_CCWD_LEVELS, dt, band))
+    if method not in CC_METHODS:
+        raise ValueError(f"unknown correlation method {method!r}")
+    norms = np.array([[np.linalg.norm(s) for s in channel] for channel in block])  # one per segment
+    denom = norms[0] * norms[1:]  # (P, K): ||B|| ||other|| of every pair
+    if not denom.all():
+        raise DegenerateWindowError("zero-variance segment has no correlation")
+    if method == "cctd":
+        b = block[0]
+        out = np.array([[correlate_full(b[k], y[k]) for y in block[1:]] for k in range(len(b))])
+        return out / denom.T[:, :, None]
+    n = block.shape[-1]
+    m = 1 << int(np.ceil(np.log2(2 * n - 1)))
+    spectra = np.fft.rfft(block, m)
+    c = np.fft.irfft(np.conj(spectra[0]) * spectra[1:], m)
+    coeff = np.concatenate([c[..., m - (n - 1):], c[..., :n]], axis=-1) / denom[..., None]
+    return coeff.transpose(1, 0, 2)

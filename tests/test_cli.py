@@ -5,7 +5,7 @@ import pytest
 
 from itfmap import evaluate, pipeline, simulate
 from itfmap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROCESS, main
-from itfmap.signals import load_record
+from itfmap.signals import SampleRecord, load_record, save_record
 
 
 def run(*argv):
@@ -124,6 +124,25 @@ class TestMapCommand:
         assert run("map", "--input", str(rec), "--output", str(tmp_path / "m.csv"),
                    "--filter", "sobel") == EXIT_CONFIG
 
+    def test_record_shorter_than_bandpass_padding_is_config_error(self, tmp_path, capsys):
+        rec = tmp_path / "short.csv"
+        save_record(SampleRecord(np.random.default_rng(15).normal(size=(3, 15))), rec)
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out),
+                   "--filter", "bpf", "--window", "8") == EXIT_CONFIG
+        assert "filter bpf needs at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--filter", "bpf"], ["--cc", "ccwd"]])
+    def test_sample_interval_the_chain_cannot_take_is_config_error(self, tmp_path, capsys, argv):
+        rec = tmp_path / "rec.csv"
+        assert run("simulate", "--output", str(rec), "--dt-ns", "100", "--windows", "10",
+                   "--window", "64", "--hop", "8") == EXIT_OK
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out), "--window", "64", *argv) == EXIT_CONFIG
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_elevation_series_sidecar(self, tmp_path):
         rec = self.make_record(tmp_path)
         el = tmp_path / "el.csv"
@@ -233,6 +252,15 @@ class TestBenchCommand:
             if (c.filter_id, c.method, c.interp_method, c.factor) == ("bpf", "cctd", "cubic", 8)
         )
         assert cell.mean_dist_deg == pytest.approx(direct, abs=5e-7)
+
+    @pytest.mark.parametrize("dt_ns, code", [("100", EXIT_CONFIG), ("4", EXIT_OK)])
+    def test_sample_interval_checked_before_synthesis(self, tmp_path, monkeypatch, dt_ns, code):
+        synthesized = []
+        real = simulate.synthesize_record
+        monkeypatch.setattr(simulate, "synthesize_record", lambda *a, **k: synthesized.append(1) or real(*a, **k))
+        assert run("bench", "--output", str(tmp_path / "r.csv"), "--dt-ns", dt_ns, "--window", "64",
+                   "--hop", "64", "--records", "1", "--record-windows", "4") == code
+        assert len(synthesized) == (code == EXIT_OK)
 
     def test_small_grid_runs_and_reports(self, tmp_path):
         out = tmp_path / "report.csv"

@@ -156,6 +156,43 @@ class TestWaveletDenoise:
         assert len(wavelet_denoise(x, get_basis("db10"), 3, "universal")) == 1001
 
 
+class TestCheckInput:
+    @pytest.mark.parametrize("selector", ["bpf", "bpf-hw"])
+    @pytest.mark.parametrize("dt", [DT, 2e-9, 1e-9])
+    def test_bandpass_length_is_sosfiltfilt_padding(self, selector, dt):
+        spec = parse_filter_spec(selector)
+
+        def accepts(n):
+            try:
+                denoise.check_input(spec, dt, n)
+            except ValueError:
+                return False
+            return True
+
+        shortest = next(n for n in range(1, 500) if accepts(n))
+        with pytest.raises(ValueError, match="padlen"):
+            bandpass_filter(np.ones(shortest - 1), spec, dt)
+        assert len(bandpass_filter(np.ones(shortest), spec, dt)) == shortest
+
+    def test_cutoff_at_nyquist_rejected(self):
+        with pytest.raises(ValueError, match="Nyquist"):
+            denoise.check_input(BandpassSpec(), 5e-9)
+        denoise.check_input(BandpassSpec(), DT)
+
+    def test_wavelet_levels_need_their_samples(self):
+        spec = WaveletSpec()
+        short = 2**denoise.DEFAULT_LEVELS - 1
+        with pytest.raises(ValueError, match="needs at least 16 samples"):
+            denoise.check_input(spec, DT, short)
+        with pytest.raises(ValueError, match="too short"):
+            denoise.apply_filter(np.ones(short), spec, DT)
+        denoise.check_input(spec, DT, short + 1)
+
+    @pytest.mark.parametrize("spec", [None, KalmanSpec()])
+    def test_other_filters_take_any_record(self, spec):
+        denoise.check_input(spec, 1e-3, 1)
+
+
 class TestFilterSpecs:
     @pytest.mark.parametrize(
         "text,kind",

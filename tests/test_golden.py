@@ -1,6 +1,8 @@
 """Golden outputs: a seeded `simulate` record, its `map` CSV for every
-correlation method and interpolation spec, and a seeded `bench` report stay
-byte-identical to the files committed under ``tests/golden/``.
+correlation method and interpolation spec, a copy of the record with a NaN
+sample and a constant stretch mapped at hop 3 by every correlation method,
+and a seeded `bench` report stay byte-identical to the files committed under
+``tests/golden/``.
 
 Regenerate the files only when an output is meant to change:
 
@@ -15,13 +17,20 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from itfmap.cli import EXIT_OK, main
+from itfmap.signals import SampleRecord, load_record, save_record
 from itfmap.xcorr import CC_METHODS
 
 GOLDEN = Path(__file__).parent / "golden"
 RECORD = "rec.csv"
 SIMULATE = ["--windows", "60", "--window", "128", "--hop", "1", "--seed", "11", "--snr-db", "20"]
 INTERPS = ("none", "linear:2", "linear:8", "cubic:2", "cubic:8")
+# the record with one NaN sample (in B) and one constant stretch (in D):
+# windows covering either are skipped as degenerate
+GAPS = "rec-gaps.csv"
+GAPS_MAP = ["--window", "32", "--hop", "3", "--interp", "cubic:8"]
 BENCH = ["--window", "128", "--hop", "32", "--records", "2", "--record-windows", "16", "--seed", "3"]
 
 
@@ -32,7 +41,16 @@ def map_name(cc: str, interp: str) -> str:
 OUTPUTS = (
     [RECORD, RECORD + ".truth.csv", "bench.csv"]
     + [map_name(cc, interp) for cc in CC_METHODS for interp in INTERPS]
+    + [GAPS] + [f"map-gaps-{cc}.csv" for cc in CC_METHODS]
 )
+
+
+def make_gaps_record(source: Path, dest: Path) -> None:
+    record = load_record(source)
+    channels = record.channels.copy()
+    channels[0, 30] = np.nan
+    channels[2, 120:160] = 0.5
+    save_record(SampleRecord(channels, record.sample_interval, record.label), dest)
 
 
 def produce(workdir: Path) -> None:
@@ -47,6 +65,10 @@ def produce(workdir: Path) -> None:
                 argv = ["map", "--input", RECORD, "--output", map_name(cc, interp),
                         "--cc", cc, "--interp", interp, "--window", "128", "--hop", "1"]
                 assert main(argv) == EXIT_OK
+        make_gaps_record(Path(RECORD), Path(GAPS))
+        for cc in CC_METHODS:
+            argv = ["map", "--input", GAPS, "--output", f"map-gaps-{cc}.csv", "--cc", cc, *GAPS_MAP]
+            assert main(argv) == EXIT_OK
         assert main(["bench", "--output", "bench.csv", *BENCH]) == EXIT_OK
     finally:
         os.chdir(here)

@@ -1,13 +1,15 @@
 """End-to-end mapping chain and map-CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from itfmap import evaluate, pipeline
+from itfmap import evaluate, pipeline, simulate, xcorr
 from itfmap.denoise import parse_filter_spec
 from itfmap.geometry import ArrayGeometry
-from itfmap.pipeline import MapResult, PipelineConfig, map_record, read_map_csv, write_map_csv
-from itfmap.signals import SampleRecord, SegmentationPlan
+from itfmap.pipeline import MapResult, PipelineConfig, correlate_window, map_record, read_map_csv, window_peaks, write_map_csv
+from itfmap.signals import SampleRecord, SegmentationPlan, normalize_window, segment
 from itfmap.simulate import make_track, synthesize_record
 from itfmap.xcorr import InterpSpec
 
@@ -72,6 +74,80 @@ class TestMapRecord:
             PipelineConfig(cc_method="ccwd", plan=SegmentationPlan(3, 1))
         PipelineConfig(cc_method="ccwd", plan=SegmentationPlan(4, 1))
         PipelineConfig(cc_method="cctd", plan=SegmentationPlan(2, 1))
+
+
+def gaps_record(layout="C"):
+    """A noisy 220-sample record with one NaN sample in B and one constant
+    stretch in D, its channels in C or Fortran (CSV-loaded) memory order."""
+    sim = fixture_sim(n_win=40, W=64, hop=4)
+    channels = simulate.add_record_noise(sim.record, 20.0, seed=4).channels.copy()
+    channels[0, 30] = np.nan
+    channels[2, 120:200] = 0.25
+    return SampleRecord(np.asfortranarray(channels) if layout == "F" else channels, DT)
+
+
+GAPS_PLAN = SegmentationPlan(32, 3)  # 63 windows, 28 degenerate
+
+
+class TestWindowChunks:
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_block_loop_matches_the_one_window_forms(self, monkeypatch, method, layout):
+        monkeypatch.setattr(pipeline, "WINDOW_CHUNK", 7)
+        rec = gaps_record(layout)
+        cfg = PipelineConfig(cc_method=method, plan=GAPS_PLAN)
+        wp = window_peaks(rec, cfg)[method]
+        pairs = [correlate_window(normalize_window(w), cfg, DT) for w in segment(rec, GAPS_PLAN)]
+        assert wp.degenerate == [i for i, pair in enumerate(pairs) if pair is None]
+        assert wp.index == [i for i, pair in enumerate(pairs) if pair is not None]
+        assert len(wp.degenerate) == 28
+        ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
+        for field in ("lag", "coefficient", "neighborhood"):
+            np.testing.assert_array_equal(getattr(wp.peaks, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    def test_chunk_size_changes_no_map_byte(self, tmp_path, monkeypatch, method):
+        rec = gaps_record("F")
+        n = GAPS_PLAN.count(rec.length)
+
+        def maps():
+            out = []
+            for interp in ("none", "linear:8", "cubic:8"):
+                cfg = PipelineConfig(cc_method=method, interp=InterpSpec.parse(interp), plan=GAPS_PLAN, geometry=G)
+                out.append(write_map_csv(map_record(rec, cfg), tmp_path / "m.csv").read_bytes())
+            return out
+
+        expected = maps()
+        for chunk in (1, 7, n, n + 5):
+            monkeypatch.setattr(pipeline, "WINDOW_CHUNK", chunk)
+            assert maps() == expected, chunk
+
+    def test_chunk_size_changes_no_bench_cell(self, monkeypatch):
+        datasets = []
+        for seed in (1, 2):
+            sim = fixture_sim(n_win=12, W=64, hop=16, seed=seed)
+            noisy = simulate.add_record_noise(sim.record, 20.0, seed=seed)
+            datasets.append(simulate.SimulatedRecord(noisy, sim.truth, sim.tau1_s, sim.tau2_s))
+        base = PipelineConfig(plan=SegmentationPlan(64, 16), geometry=G)
+
+        def cells():
+            return [repr(c) for c in evaluate.run_benchmark(evaluate.BenchmarkGrid(), datasets, base).cells]
+
+        expected = cells()
+        monkeypatch.setattr(pipeline, "WINDOW_CHUNK", 1)
+        assert cells() == expected
+
+    def test_memory_stays_bounded_as_records_grow(self):
+        n, w = 20_000, 256
+        rec = SampleRecord(np.random.default_rng(0).normal(size=(3, n - 1 + w)), DT)
+        tracemalloc.start()
+        try:
+            res = map_record(rec, PipelineConfig(plan=SegmentationPlan(w, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.total_windows == n
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestMapCsv:

@@ -108,6 +108,15 @@ class TestUndecimated:
         for j in range(4):
             assert np.max(np.abs(ws[j][s:200] - w[j][: 200 - s])) < 1e-12
 
+    def test_details_without_the_last_approximation(self):
+        x = np.random.default_rng(2).normal(size=100)
+        basis = get_basis("sym4")
+        full = wavelets.modwt(x, basis, 3)
+        details = wavelets.modwt_levels(x, wavelets.level_filters(basis, 3), approximation=False)
+        assert len(details) == 3
+        for d, ref in zip(details, full[:3]):
+            np.testing.assert_array_equal(d, ref)
+
     def test_level_band_accounting(self):
         # at 4 ns (250 MS/s): level 1 = 62.5-125 MHz, level 2 = 31.25-62.5 MHz
         assert wavelets.level_band(1, 4e-9) == pytest.approx((62.5e6, 125e6))

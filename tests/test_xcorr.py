@@ -165,6 +165,22 @@ class TestCcWavelet:
             assert np.max(np.abs(cc_wavelet(a, b, get_basis("sym4")).coefficients)) <= 1 + 1e-9
 
 
+class TestCorrelateBlock:
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    def test_rows_equal_one_pair_calls(self, method):
+        block = np.random.default_rng(17).normal(size=(3, 9, 37))
+        out = xcorr.correlate_block(block, method)
+        assert out.shape == (9, 2, 73)
+        for k in range(9):
+            for p in (1, 2):
+                one = xcorr.correlate(block[0, k], block[p, k], method)
+                np.testing.assert_array_equal(out[k, p - 1], one.coefficients)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown correlation method"):
+            xcorr.correlate_block(np.ones((3, 1, 8)), "ccxx")
+
+
 class TestRefinePeak:
     def triangle(self, peak_at=3, half_width=8.0):
         lags = np.arange(-255, 256)
