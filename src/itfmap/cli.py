@@ -161,13 +161,18 @@ def _require(cfg: dict, key: str, code: int = EXIT_CONFIG):
 
 
 def _pipeline_config(
-    cfg: dict, default_hop: int = 1, grid: BenchmarkGrid | None = None
+    cfg: dict, default_hop: int = 1, grid: BenchmarkGrid | None = None,
+    n_windows: int = 1, n_records: int = 1,
 ) -> tuple[pipeline.PipelineConfig, float]:
     """The run configuration and the sample interval (s) from the merged
-    settings; any bad value exits 3, as does a window or sample interval that
-    a filter or correlation method of `grid`, when the run sweeps one, cannot
-    take."""
+    settings; any bad value exits 3, as does a window or record count below
+    1, or a sample interval or record of `n_windows` windows that a filter or
+    correlation method of `grid`, when the run sweeps one, cannot take."""
     try:
+        if n_windows < 1:
+            raise ValueError(f"window count must be at least 1, got {n_windows}")
+        if n_records < 1:
+            raise ValueError(f"record count must be at least 1, got {n_records}")
         dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
         if not 0 < dt < np.inf:
             raise ValueError(f"sample interval must be finite and > 0, got {cfg['dt_ns']} ns")
@@ -190,8 +195,9 @@ def _pipeline_config(
             signal_band=band,
         )
         if grid is not None:
+            length = (n_windows - 1) * plan.hop + plan.window_length
             for filter_id, method in itertools.product(grid.filters, grid.methods):
-                replace(config, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt)
+                replace(config, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt, length)
     except (ValueError, KeyError) as exc:
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
     return config, dt
@@ -221,9 +227,9 @@ def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
-    config, dt = _pipeline_config(cfg)
-    window, hop = config.plan.window_length, config.plan.hop
     n_windows = int(cfg.get("windows", 200))
+    config, dt = _pipeline_config(cfg, n_windows=n_windows)
+    window, hop = config.plan.window_length, config.plan.hop
     seed = int(cfg.get("seed", 0))
     track = simulate.make_track(
         cfg.get("track", "random-walk"),
@@ -303,11 +309,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
     grid = BenchmarkGrid()
-    base, dt = _pipeline_config(cfg, default_hop=16, grid=grid)
-    window, hop = base.plan.window_length, base.plan.hop
-    seed = int(cfg.get("seed", 0))
     n_records = int(getattr(args, "records", 2))
     n_windows = int(getattr(args, "record_windows", 120))
+    base, dt = _pipeline_config(cfg, default_hop=16, grid=grid, n_windows=n_windows, n_records=n_records)
+    window, hop = base.plan.window_length, base.plan.hop
+    seed = int(cfg.get("seed", 0))
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs
     snr_db = float(cfg.get("snr_db", 20.0))

@@ -1,19 +1,18 @@
 """Interchangeable signal-to-signal preprocessing filters.
 
-Three variants, selectable by spec string:
+Selectable by spec string:
 
-* ``bpf``               zero-phase Butterworth band-pass (default 20-100 MHz)
+* ``bpf``               zero-phase Butterworth band-pass, 20-100 MHz
+* ``bpf-hw``            the same over the 40-80 MHz analog front-end band
 * ``kf``                scalar local-level Kalman filter
 * ``wt-<basis>-<rule>`` wavelet denoising, e.g. ``wt-sym4-sure``
 
-All filters preserve signal length and are deterministic.  ``none`` is
-accepted by `parse_filter_spec` as an explicit bypass for pipelines.
+A filter spec is its lower-cased selector, checked by `parse_filter_spec`,
+which returns ``None`` for the explicit bypass ``none``.  All filters
+preserve signal length and are deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.signal import butter, sosfiltfilt
@@ -24,120 +23,83 @@ from itfmap.wavelets import WaveletBasis
 
 DEFAULT_BAND = (20e6, 100e6)   # digital band-pass cut-offs
 HARDWARE_BAND = (40e6, 80e6)   # analog front-end preset
+BANDS = {"bpf": DEFAULT_BAND, "bpf-hw": HARDWARE_BAND}
 DEFAULT_ORDER = 4
 DEFAULT_LEVELS = 4
 
 
-@dataclass(frozen=True)
-class BandpassSpec:
-    """Butterworth band-pass of order `DEFAULT_ORDER` between the cut-offs."""
-
-    low_hz: float = DEFAULT_BAND[0]
-    high_hz: float = DEFAULT_BAND[1]
-
-    def validate(self, dt: float) -> None:
-        nyquist = 0.5 / dt
-        if not 0 < self.low_hz < self.high_hz:
-            raise ValueError(f"need 0 < low < high, got ({self.low_hz}, {self.high_hz})")
-        if self.high_hz >= nyquist:
-            raise ValueError(f"high cut-off {self.high_hz} at/above Nyquist {nyquist}")
-
-
-@dataclass(frozen=True)
-class KalmanSpec:
-    """Local-level Kalman filter with q and r estimated from the signal
-    (see `estimate_kalman_vars`)."""
-
-
-@dataclass(frozen=True)
-class WaveletSpec:
-    """Wavelet denoising over `DEFAULT_LEVELS` levels."""
-
-    basis: str = "sym4"
-    rule: str = "sure"
-
-    def validate(self) -> None:
-        if self.rule not in wavelets.THRESHOLD_RULES:
-            raise ValueError(f"unknown threshold rule {self.rule!r}")
-        wavelets.get_basis(self.basis)  # raises KeyError on unknown basis
-
-
-FilterSpec = Union[BandpassSpec, KalmanSpec, WaveletSpec, None]
-
-
-def parse_filter_spec(text: str) -> FilterSpec:
-    """Parse a CLI/config selector: bpf | bpf-hw | kf | wt-<basis>-<rule> | none.
-
-    ``bpf`` is the 20-100 MHz digital preset; ``bpf-hw`` mirrors the 40-80 MHz
-    analog front-end band.
-    """
-    t = text.strip().lower()
-    if t in ("none", "bypass"):
+def parse_filter_spec(text: str) -> str | None:
+    """Check a CLI/config selector, bpf | bpf-hw | kf | wt-<basis>-<rule> |
+    none, and return it lower-cased, or None for ``none``/``bypass``."""
+    spec = text.strip().lower()
+    if spec in ("none", "bypass"):
         return None
-    if t == "bpf":
-        return BandpassSpec()
-    if t == "bpf-hw":
-        return BandpassSpec(low_hz=HARDWARE_BAND[0], high_hz=HARDWARE_BAND[1])
-    if t == "kf":
-        return KalmanSpec()
-    if t.startswith("wt-"):
-        parts = t.split("-")
-        if len(parts) != 3:
-            raise ValueError(f"bad wavelet selector {text!r}, expected wt-<basis>-<rule>")
-        spec = WaveletSpec(basis=parts[1], rule=parts[2])
-        spec.validate()
+    if spec in BANDS or spec == "kf":
+        return spec
+    if spec.startswith("wt-"):
+        _wavelet(spec)
         return spec
     raise ValueError(f"unknown filter selector {text!r}")
 
 
-def filter_label(spec: FilterSpec) -> str:
-    if spec is None:
-        return "none"
-    if isinstance(spec, BandpassSpec):
-        return "bpf-hw" if (spec.low_hz, spec.high_hz) == HARDWARE_BAND else "bpf"
-    if isinstance(spec, KalmanSpec):
-        return "kf"
-    return f"wt-{spec.basis}-{spec.rule}"
+def _wavelet(spec: str) -> tuple[WaveletBasis, str]:
+    """The basis and threshold rule a ``wt-<basis>-<rule>`` selector names."""
+    parts = spec.split("-")
+    if len(parts) != 3:
+        raise ValueError(f"bad wavelet selector {spec!r}, expected wt-<basis>-<rule>")
+    _, basis, rule = parts
+    if rule not in wavelets.THRESHOLD_RULES:
+        raise ValueError(f"unknown threshold rule {rule!r}")
+    return wavelets.get_basis(basis), rule  # raises KeyError on unknown basis
 
 
-def apply_filter(signal: np.ndarray, spec: FilterSpec, dt: float) -> np.ndarray:
+def filter_label(spec: str | None) -> str:
+    """The selector text of a parsed spec: the spec itself, or ``none``."""
+    return spec or "none"
+
+
+def apply_filter(signal: np.ndarray, spec: str | None, dt: float) -> np.ndarray:
     """Dispatch a parsed spec onto one channel."""
     if spec is None:
         return np.asarray(signal, dtype=np.float64)
-    if isinstance(spec, BandpassSpec):
-        return bandpass_filter(signal, spec, dt)
-    if isinstance(spec, KalmanSpec):
+    if spec in BANDS:
+        return bandpass_filter(signal, BANDS[spec], dt)
+    if spec == "kf":
         return kalman_filter(signal, *estimate_kalman_vars(signal))
-    if isinstance(spec, WaveletSpec):
-        return wavelet_denoise(signal, wavelets.get_basis(spec.basis), DEFAULT_LEVELS, spec.rule)
-    raise TypeError(f"not a filter spec: {spec!r}")
+    basis, rule = _wavelet(spec)
+    return wavelet_denoise(signal, basis, DEFAULT_LEVELS, rule)
 
 
-def bandpass_filter(signal: np.ndarray, spec: BandpassSpec, dt: float) -> np.ndarray:
-    """Butterworth band-pass, applied forward-backward (zero phase).
+def bandpass_filter(signal: np.ndarray, band: tuple[float, float], dt: float) -> np.ndarray:
+    """Butterworth band-pass of order `DEFAULT_ORDER` between the `band`
+    cut-offs (Hz), applied forward-backward (zero phase).
 
     The two-pass application squares the magnitude response and cancels the
     group delay, so downstream correlation lags carry no filter bias.
     """
-    spec.validate(dt)
-    return sosfiltfilt(_bandpass_sos(spec, dt), np.asarray(signal, dtype=np.float64))
+    return sosfiltfilt(_bandpass_sos(band, dt), np.asarray(signal, dtype=np.float64))
 
 
-def _bandpass_sos(spec: BandpassSpec, dt: float) -> np.ndarray:
-    return butter(DEFAULT_ORDER, [spec.low_hz, spec.high_hz], btype="bandpass", fs=1.0 / dt, output="sos")
+def _bandpass_sos(band: tuple[float, float], dt: float) -> np.ndarray:
+    low, high = band
+    nyquist = 0.5 / dt
+    if not 0 < low < high:
+        raise ValueError(f"need 0 < low < high, got ({low}, {high})")
+    if high >= nyquist:
+        raise ValueError(f"high cut-off {high} at/above Nyquist {nyquist}")
+    return butter(DEFAULT_ORDER, [low, high], btype="bandpass", fs=1.0 / dt, output="sos")
 
 
-def check_input(spec: FilterSpec, dt: float, length: int | None = None) -> None:
+def check_input(spec: str | None, dt: float, length: int | None = None) -> None:
     """Raise ValueError when `apply_filter` cannot filter a channel sampled
     every `dt` seconds (and `length` samples long, when given): a band-pass
     cut-off at or above Nyquist, or fewer samples than the band-pass edge
     padding or the wavelet levels need."""
-    if isinstance(spec, BandpassSpec):
-        spec.validate(dt)
-        sos = _bandpass_sos(spec, dt)
+    if spec in BANDS:
+        sos = _bandpass_sos(BANDS[spec], dt)
         # sosfiltfilt's default edge padding, which the signal must exceed
         need = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())) + 1
-    elif isinstance(spec, WaveletSpec):
+    elif spec is not None and spec.startswith("wt-"):
         need = 2**DEFAULT_LEVELS
     else:
         return

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from itfmap import xcorr
-from itfmap.denoise import FilterSpec, parse_filter_spec
+from itfmap.denoise import parse_filter_spec
 # direction_from_tdoa, correlate_window, normalize_window and segment are the
 # one-window forms of the pipeline stages; perfbench's tracer expects them
 # bound here as well
@@ -167,7 +167,7 @@ def run_benchmark(
     for ds in datasets:
         dt = ds.record.sample_interval
         for filter_id in grid.filters:
-            spec: FilterSpec = parse_filter_spec(filter_id)
+            spec = parse_filter_spec(filter_id)
             peaks = window_peaks(denoise_record(ds.record, spec), base, grid.methods)
             for method, wp in peaks.items():
                 config = replace(base, filter_spec=spec, cc_method=method)

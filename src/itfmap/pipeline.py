@@ -15,7 +15,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from itfmap import denoise, xcorr
-from itfmap.denoise import FilterSpec
 from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdoa
 from itfmap.signals import SampleRecord, SegmentationPlan, Window, normalize_segments
 # the one-window forms of what `window_peaks` does a block at a time;
@@ -31,11 +30,13 @@ WINDOW_CHUNK = 32  # windows normalized and correlated together: bounds the bloc
 class PipelineConfig:
     """Everything one mapping run needs besides the record itself.
 
-    ccwd always runs on sym4 with `xcorr.DEFAULT_CCWD_LEVELS` undecimated
-    levels, so it needs windows of at least 2**levels samples.
+    `filter_spec` is a filter selector as `denoise.parse_filter_spec`
+    returns it: lower-cased, or None for no filter.  ccwd always runs on
+    sym4 with `xcorr.DEFAULT_CCWD_LEVELS` undecimated levels, so it needs
+    windows of at least 2**levels samples.
     """
 
-    filter_spec: FilterSpec = None
+    filter_spec: str | None = None
     cc_method: str = "cctd"
     interp: InterpSpec = field(default_factory=InterpSpec)
     plan: SegmentationPlan = field(default_factory=SegmentationPlan)
@@ -43,6 +44,8 @@ class PipelineConfig:
     signal_band: tuple[float, float] = xcorr.DEFAULT_SIGNAL_BAND
 
     def __post_init__(self):
+        if self.filter_spec is not None and denoise.parse_filter_spec(self.filter_spec) != self.filter_spec:
+            raise ValueError(f"not a parsed filter selector: {self.filter_spec!r}")
         if self.cc_method not in xcorr.CC_METHODS:
             raise ValueError(f"unknown correlation method {self.cc_method!r}")
         min_window = 2**xcorr.DEFAULT_CCWD_LEVELS
@@ -88,7 +91,7 @@ class MapResult:
         return AngleTrack(az, el, window_length=self.window_length, hop=self.hop, valid=valid)
 
 
-def denoise_record(record: SampleRecord, spec: FilterSpec) -> SampleRecord:
+def denoise_record(record: SampleRecord, spec: str | None) -> SampleRecord:
     """Apply one filter spec to all three channels (before segmentation).
 
     Non-finite samples (capture dropouts) are filtered as zeros and written
@@ -172,10 +175,8 @@ def solve_directions(wp: WindowPeaks, lags: np.ndarray, config: PipelineConfig, 
     estimates: list[DirectionEstimate] = []
     coeffs = wp.peaks.coefficient.reshape(-1, 2).tolist()
     for idx, (lag_bc, lag_bd), (peak_bc, peak_bd) in zip(wp.index, lags.reshape(-1, 2).tolist(), coeffs):
-        tau1, _ = xcorr.lag_to_tdoa(lag_bc, dt)
-        tau2, _ = xcorr.lag_to_tdoa(lag_bd, dt)
         estimates.append(direction_from_tdoa(
-            tau1, tau2, config.geometry, window_index=idx, peak_coefficient=min(peak_bc, peak_bd)
+            lag_bc * dt, lag_bd * dt, config.geometry, window_index=idx, peak_coefficient=min(peak_bc, peak_bd)
         ))
     return MapResult(estimates, wp.degenerate, wp.total_windows, dt, config.plan.hop, config.plan.window_length)
 

@@ -121,7 +121,9 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, basis: WaveletBasis, n0: int) 
 def wavedec(x: np.ndarray, basis: WaveletBasis, levels: int) -> list[np.ndarray]:
     """Multi-level periodic DWT.
 
-    Returns ``[a_J, d_J, d_{J-1}, ..., d_1]``.  Requires len(x) >= 2**levels.
+    Returns ``[a_J, d_J, d_{J-1}, ..., d_1, lengths]``: the coefficient
+    arrays, then an integer array of the input length at each level, which
+    `waverec` needs to invert odd lengths.  Requires len(x) >= 2**levels.
     """
     x = np.asarray(x, dtype=np.float64)
     if levels < 1:

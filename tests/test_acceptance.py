@@ -12,7 +12,7 @@ import numpy as np
 
 from itfmap import evaluate, pipeline, simulate, wavelets
 from itfmap.cli import _reference_waveform, main
-from itfmap.denoise import BandpassSpec, bandpass_filter, kalman_filter
+from itfmap.denoise import DEFAULT_BAND, bandpass_filter, kalman_filter
 from itfmap.evaluate import BenchmarkGrid, map_error, run_benchmark
 from itfmap.geometry import ArrayGeometry, direction_from_tdoa, tdoa_from_direction
 from itfmap.signals import SegmentationPlan
@@ -186,14 +186,13 @@ def test_criterion_6_filter_properties(criterion_reporter):
     n = 4096
     t = np.arange(n) * DT
     core = slice(500, -500)
-    spec = BandpassSpec()
     x5 = np.sin(2 * np.pi * 5e6 * t)
     x60 = np.sin(2 * np.pi * 60e6 * t)
     atten5 = -20 * np.log10(
-        np.sqrt(np.mean(bandpass_filter(x5, spec, DT)[core] ** 2) / np.mean(x5[core] ** 2))
+        np.sqrt(np.mean(bandpass_filter(x5, DEFAULT_BAND, DT)[core] ** 2) / np.mean(x5[core] ** 2))
     )
     gain60 = 20 * np.log10(
-        np.sqrt(np.mean(bandpass_filter(x60, spec, DT)[core] ** 2) / np.mean(x60[core] ** 2))
+        np.sqrt(np.mean(bandpass_filter(x60, DEFAULT_BAND, DT)[core] ** 2) / np.mean(x60[core] ** 2))
     )
     # Kalman running mean
     z = 2.0 + np.random.default_rng(3).normal(0, 0.5, 500)

@@ -190,6 +190,10 @@ class TestConfigFile:
         ["bench", "--dt-ns", "0"],
         ["simulate", "--baseline-m", "0"],
         ["simulate", "--dt-ns", "0"],
+        ["simulate", "--windows", "0"],
+        ["simulate", "--windows", "-3"],
+        ["bench", "--record-windows", "0"],
+        ["bench", "--records", "0"],
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
@@ -253,14 +257,26 @@ class TestBenchCommand:
         )
         assert cell.mean_dist_deg == pytest.approx(direct, abs=5e-7)
 
-    @pytest.mark.parametrize("dt_ns, code", [("100", EXIT_CONFIG), ("4", EXIT_OK)])
-    def test_sample_interval_checked_before_synthesis(self, tmp_path, monkeypatch, dt_ns, code):
-        synthesized = []
+    @pytest.fixture
+    def synthesized(self, monkeypatch):
+        """One entry per `simulate.synthesize_record` call."""
+        calls = []
         real = simulate.synthesize_record
-        monkeypatch.setattr(simulate, "synthesize_record", lambda *a, **k: synthesized.append(1) or real(*a, **k))
+        monkeypatch.setattr(simulate, "synthesize_record", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("dt_ns, code", [("100", EXIT_CONFIG), ("4", EXIT_OK)])
+    def test_sample_interval_checked_before_synthesis(self, tmp_path, synthesized, dt_ns, code):
         assert run("bench", "--output", str(tmp_path / "r.csv"), "--dt-ns", dt_ns, "--window", "64",
                    "--hop", "64", "--records", "1", "--record-windows", "4") == code
         assert len(synthesized) == (code == EXIT_OK)
+
+    def test_record_length_checked_before_synthesis(self, tmp_path, capsys, synthesized):
+        # 2 windows of 8 at hop 1 make 9-sample records; the wavelet filters need 16
+        assert run("bench", "--output", str(tmp_path / "r.csv"), "--window", "8",
+                   "--hop", "1", "--records", "1", "--record-windows", "2") == EXIT_CONFIG
+        assert "needs at least 16 samples, got 9" in capsys.readouterr().err
+        assert synthesized == []
 
     def test_small_grid_runs_and_reports(self, tmp_path):
         out = tmp_path / "report.csv"

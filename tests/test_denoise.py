@@ -5,15 +5,15 @@ import pytest
 
 from itfmap import denoise
 from itfmap.denoise import (
-    BandpassSpec,
-    KalmanSpec,
-    WaveletSpec,
+    BANDS,
+    DEFAULT_BAND,
     bandpass_filter,
     filter_label,
     kalman_filter,
     parse_filter_spec,
     wavelet_denoise,
 )
+from itfmap.evaluate import DEFAULT_FILTERS
 from itfmap.wavelets import get_basis
 
 DT = 4e-9
@@ -32,43 +32,42 @@ CORE = slice(500, -500)  # skip filter edge transients
 
 class TestBandpass:
     def test_midband_tone_within_1db(self):
-        y = bandpass_filter(tone(60e6), BandpassSpec(), DT)
+        y = bandpass_filter(tone(60e6), DEFAULT_BAND, DT)
         gain_db = 20 * np.log10(rms(y[CORE]) / rms(tone(60e6)[CORE]))
         assert abs(gain_db) < 1.0
 
     def test_dc_blocked(self):
-        y = bandpass_filter(np.ones(4096), BandpassSpec(), DT)
+        y = bandpass_filter(np.ones(4096), DEFAULT_BAND, DT)
         assert np.max(np.abs(y[CORE])) < 1e-3
 
     def test_5mhz_attenuated_40db(self):
         # 5 MHz sits two octaves below the 20 MHz edge; order-4 two-pass
-        y = bandpass_filter(tone(5e6), BandpassSpec(), DT)
+        y = bandpass_filter(tone(5e6), DEFAULT_BAND, DT)
         atten_db = -20 * np.log10(rms(y[CORE]) / rms(tone(5e6)[CORE]))
         assert atten_db >= 40.0
 
     def test_cutoffs_validated_against_nyquist(self):
         with pytest.raises(ValueError, match="Nyquist"):
-            bandpass_filter(tone(60e6), BandpassSpec(low_hz=20e6, high_hz=130e6), DT)
+            bandpass_filter(tone(60e6), (20e6, 130e6), DT)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=2048)
         y = rng.normal(size=2048)
-        spec = BandpassSpec()
-        lhs = bandpass_filter(2.5 * x - 1.5 * y, spec, DT)
-        rhs = 2.5 * bandpass_filter(x, spec, DT) - 1.5 * bandpass_filter(y, spec, DT)
+        lhs = bandpass_filter(2.5 * x - 1.5 * y, DEFAULT_BAND, DT)
+        rhs = 2.5 * bandpass_filter(x, DEFAULT_BAND, DT) - 1.5 * bandpass_filter(y, DEFAULT_BAND, DT)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_zero_phase_peak_at_lag_zero(self):
         rng = np.random.default_rng(1)
         t = np.arange(2048) * DT
         x = sum(np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi)) for f in (45e6, 60e6, 75e6))
-        y = bandpass_filter(x, BandpassSpec(), DT)
+        y = bandpass_filter(x, DEFAULT_BAND, DT)
         c = np.correlate(y, x, mode="full")
         assert int(np.argmax(c)) - (len(x) - 1) == 0
 
     def test_length_preserved(self):
-        assert len(bandpass_filter(tone(60e6, 999), BandpassSpec(), DT)) == 999
+        assert len(bandpass_filter(tone(60e6, 999), DEFAULT_BAND, DT)) == 999
 
 
 class TestKalman:
@@ -171,16 +170,16 @@ class TestCheckInput:
 
         shortest = next(n for n in range(1, 500) if accepts(n))
         with pytest.raises(ValueError, match="padlen"):
-            bandpass_filter(np.ones(shortest - 1), spec, dt)
-        assert len(bandpass_filter(np.ones(shortest), spec, dt)) == shortest
+            bandpass_filter(np.ones(shortest - 1), BANDS[spec], dt)
+        assert len(bandpass_filter(np.ones(shortest), BANDS[spec], dt)) == shortest
 
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
-            denoise.check_input(BandpassSpec(), 5e-9)
-        denoise.check_input(BandpassSpec(), DT)
+            denoise.check_input("bpf", 5e-9)
+        denoise.check_input("bpf", DT)
 
     def test_wavelet_levels_need_their_samples(self):
-        spec = WaveletSpec()
+        spec = "wt-sym4-sure"
         short = 2**denoise.DEFAULT_LEVELS - 1
         with pytest.raises(ValueError, match="needs at least 16 samples"):
             denoise.check_input(spec, DT, short)
@@ -188,31 +187,22 @@ class TestCheckInput:
             denoise.apply_filter(np.ones(short), spec, DT)
         denoise.check_input(spec, DT, short + 1)
 
-    @pytest.mark.parametrize("spec", [None, KalmanSpec()])
+    @pytest.mark.parametrize("spec", [None, "kf"])
     def test_other_filters_take_any_record(self, spec):
         denoise.check_input(spec, 1e-3, 1)
 
 
 class TestFilterSpecs:
-    @pytest.mark.parametrize(
-        "text,kind",
-        [
-            ("bpf", BandpassSpec),
-            ("bpf-hw", BandpassSpec),
-            ("kf", KalmanSpec),
-            ("wt-sym4-sure", WaveletSpec),
-            ("wt-fk14-universal", WaveletSpec),
-            ("none", type(None)),
-        ],
-    )
-    def test_parse_and_label_roundtrip(self, text, kind):
-        spec = parse_filter_spec(text)
-        assert isinstance(spec, kind)
-        assert filter_label(spec) == text
+    @pytest.mark.parametrize("text", [*DEFAULT_FILTERS, "bpf-hw", "none"])
+    def test_parse_and_label_roundtrip(self, text):
+        assert filter_label(parse_filter_spec(text)) == text
+
+    def test_selector_is_checked_and_lower_cased(self):
+        assert parse_filter_spec(" BPF ") == "bpf"
+        assert parse_filter_spec("bypass") is None
 
     def test_hardware_preset_band(self):
-        spec = parse_filter_spec("bpf-hw")
-        assert (spec.low_hz, spec.high_hz) == (40e6, 80e6)
+        assert BANDS["bpf-hw"] == (40e6, 80e6)
 
     def test_bad_selectors_rejected(self):
         for bad in ("wt-sym4", "wt-nope-sure", "wt-sym4-hard", "gauss"):

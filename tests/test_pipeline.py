@@ -69,6 +69,14 @@ class TestMapRecord:
         with pytest.raises(ValueError, match="correlation method"):
             PipelineConfig(cc_method="ccxx")
 
+    @pytest.mark.parametrize("spec", ["BPF", "wt-sym4", "gauss"])
+    def test_unparsed_filter_selector_rejected(self, spec):
+        with pytest.raises(ValueError):
+            PipelineConfig(filter_spec=spec)
+
+    def test_parsed_filter_selector_accepted(self):
+        assert PipelineConfig(filter_spec="wt-db10-universal").filter_spec == "wt-db10-universal"
+
     def test_ccwd_needs_a_window_of_two_to_the_levels(self):
         with pytest.raises(ValueError, match="ccwd needs a window of at least 4"):
             PipelineConfig(cc_method="ccwd", plan=SegmentationPlan(3, 1))
