@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.signal import lfilter
+
+KALMAN_SETTLED_RTOL = 1e-15  # variance change that ends the loop (`==` never fires)
 
 
 def correlate_full(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -25,7 +28,9 @@ def kalman_local_level(z: np.ndarray, q: float, r: float) -> np.ndarray:
 
     State model x_k = x_{k-1} + w (var q), observation z_k = x_k + v (var r).
     The first posterior equals the first sample with variance r, which makes
-    the q=0 filter reproduce the running mean of the observations.
+    the q=0 filter reproduce the running mean of the observations.  Once a
+    q > 0 variance settles, the rest runs at its constant gain in one `lfilter`
+    call, within ~1e-15 of the signal scale of the recursion.
     """
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
@@ -38,6 +43,9 @@ def kalman_local_level(z: np.ndarray, q: float, r: float) -> np.ndarray:
         pp = p + q
         gain = pp / (pp + r)
         x = x + gain * (z[k] - x)
-        p = (1.0 - gain) * pp
+        p, p_prev = (1.0 - gain) * pp, p
         out[k] = x
+        if q > 0 and abs(p - p_prev) <= KALMAN_SETTLED_RTOL * p_prev:
+            out[k + 1 :] = lfilter([gain], [1.0, gain - 1.0], z[k + 1 :], zi=[(1.0 - gain) * x])[0]
+            break
     return out

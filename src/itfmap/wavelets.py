@@ -106,15 +106,17 @@ def _analysis_step(x: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.n
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, basis: WaveletBasis, n0: int) -> np.ndarray:
-    n = 2 * len(a)
-    up = np.zeros(n)
-    out = np.zeros(n)
-    h, g = basis.rec_lo, basis.rec_hi
-    for coeffs, filt in ((a, h), (d, g)):
-        up[:] = 0.0
-        up[::2] = coeffs
-        for m in range(len(filt)):
-            out += filt[m] * np.roll(up, m)
+    """Transpose of `_analysis_step`, out[(2k + m) mod n] += f[m] c[k], summed
+    per sample in the order of a per-tap roll of zero-interleaved c (h, then g)."""
+    half = len(a)
+    out = np.zeros(2 * half)
+    for coeffs, filt in ((a, basis.rec_lo), (d, basis.rec_hi)):
+        for m, f in enumerate(filt):
+            s = (m // 2) % half
+            term = f * coeffs
+            phase = out[m % 2 :: 2]
+            phase[s:] += term[: half - s]
+            phase[:s] += term[half - s :]
     return out[:n0]
 
 

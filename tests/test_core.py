@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from itfmap._core import correlate_full, kalman_local_level
+from itfmap.denoise import estimate_kalman_vars
 
 
 def kalman_reference(z, q, r):
@@ -31,10 +32,45 @@ def correlate_reference(x, y):
     return out
 
 
+def assert_matches_recursion(out, z, ref):
+    """Once the variance settles the tail runs as a constant-gain `lfilter`,
+    which rounds differently from the loop: bound the difference by the
+    signal scale, not per element (a relative bound blows up at zero
+    crossings)."""
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+
+
 @pytest.mark.parametrize("q, r", [(0.01, 0.5), (1.0, 0.1), (1e-6, 2.0)])
 def test_kalman_matches_reference_recursion(q, r):
     z = np.random.default_rng(1).normal(size=2000)
-    assert (kalman_local_level(z, q, r) == kalman_reference(z, q, r)).all()
+    assert_matches_recursion(kalman_local_level(z, q, r), z, kalman_reference(z, q, r))
+
+
+def test_kalman_long_record_at_the_estimated_variances():
+    rng = np.random.default_rng(4)
+    z = np.cumsum(rng.normal(0, 0.01, 100_000)) + rng.normal(size=100_000)
+    q, r = estimate_kalman_vars(z)
+    assert_matches_recursion(kalman_local_level(z, q, r), z, kalman_reference(z, q, r))
+
+
+@pytest.mark.parametrize("at", [20, 5000])
+def test_kalman_nan_before_and_after_the_switch(at):
+    """q = r/100 settles within a few hundred samples: a NaN at sample 20
+    poisons the loop, one at 5000 the constant-gain tail.  Both leave the
+    NaN pattern of the recursion."""
+    z = np.random.default_rng(5).normal(size=10_000)
+    z[at] = np.nan
+    out, ref = kalman_local_level(z, 0.01, 1.0), kalman_reference(z, 0.01, 1.0)
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    assert np.isnan(out[at:]).all() and not np.isnan(out[:at]).any()
+    assert_matches_recursion(out[:at], z[:at], ref[:at])
+
+
+def test_kalman_slow_convergence_stays_on_the_loop():
+    """At q/r = 5e-7 the variance is still moving after 2,000 samples, so the
+    filter never switches to the constant-gain tail and matches exactly."""
+    z = np.random.default_rng(6).normal(size=2000)
+    assert (kalman_local_level(z, 5e-7, 1.0) == kalman_reference(z, 5e-7, 1.0)).all()
 
 
 def test_kalman_without_process_noise_is_the_running_mean():
