@@ -5,7 +5,7 @@ closed-loop simulation/benchmark harness."""
 from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdoa, tdoa_from_direction
 from itfmap.signals import SampleRecord, SegmentationPlan, Window, load_record, normalize_window, save_record, segment
 from itfmap.simulate import AngleTrack, AugmentSpec, SimulatedRecord, add_awgn, augment_track, make_track, synthesize_record
-from itfmap.xcorr import CorrelationSeries, InterpSpec, cc_freq, cc_time, cc_wavelet, lag_to_tdoa, refine_peak
+from itfmap.xcorr import CorrelationSeries, InterpSpec, cc_freq, cc_time, cc_wavelet, refine_peak
 from itfmap.evaluate import BenchmarkGrid, ErrorReport, map_error, run_benchmark
 from itfmap.pipeline import MapResult, PipelineConfig, map_record
 
@@ -32,7 +32,6 @@ __all__ = [
     "cc_time",
     "cc_wavelet",
     "direction_from_tdoa",
-    "lag_to_tdoa",
     "load_record",
     "make_track",
     "map_error",

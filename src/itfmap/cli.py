@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from itfmap import evaluate, pipeline, simulate
 from itfmap.denoise import parse_filter_spec
 from itfmap.evaluate import BenchmarkGrid
 from itfmap.geometry import ArrayGeometry
-from itfmap.signals import SegmentationPlan, load_record, save_record
+from itfmap.signals import SIGNAL_BAND, SegmentationPlan, load_record, record_format, save_record
 from itfmap.simulate import AugmentSpec
 from itfmap.xcorr import InterpSpec
 
@@ -57,8 +58,6 @@ CONFIG_KEYS = {
     "seed": int,
     "snr_db": float,
     "c": float,
-    "band_low_hz": float,
-    "band_high_hz": float,
     "track": str,
     "windows": int,
     "az": float,
@@ -160,6 +159,15 @@ def _require(cfg: dict, key: str, code: int = EXIT_CONFIG):
     return cfg[key]
 
 
+@contextmanager
+def _config_guard():
+    """A ValueError or KeyError raised inside is a bad setting: exit 3."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
+
+
 def _pipeline_config(
     cfg: dict, default_hop: int = 1, grid: BenchmarkGrid | None = None,
     n_windows: int = 1, n_records: int = 1,
@@ -168,7 +176,7 @@ def _pipeline_config(
     settings; any bad value exits 3, as does a window or record count below
     1, or a sample interval or record of `n_windows` windows that a filter or
     correlation method of `grid`, when the run sweeps one, cannot take."""
-    try:
+    with _config_guard():
         if n_windows < 1:
             raise ValueError(f"window count must be at least 1, got {n_windows}")
         if n_records < 1:
@@ -183,23 +191,17 @@ def _pipeline_config(
             d=float(cfg.get("baseline_m", 15.0)),
             c=float(cfg.get("c", 299792458.0)),
         )
-        band = (float(cfg.get("band_low_hz", 40e6)), float(cfg.get("band_high_hz", 80e6)))
-        if not 0 < band[0] < band[1]:
-            raise ValueError(f"bad signal band {band}")
         config = pipeline.PipelineConfig(
             filter_spec=parse_filter_spec(cfg.get("filter", "none")),
             cc_method=cfg.get("cc", "cctd"),
             interp=InterpSpec.parse(cfg.get("interp", "none")),
             plan=plan,
             geometry=geom,
-            signal_band=band,
         )
         if grid is not None:
             length = (n_windows - 1) * plan.hop + plan.window_length
             for filter_id, method in itertools.product(grid.filters, grid.methods):
                 replace(config, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt, length)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
     return config, dt
 
 
@@ -212,12 +214,11 @@ def _config_comments(cfg: dict) -> list[str]:
 # ----------------------------------------------------------------------
 
 def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
-    """Band-limited (40-80 MHz at 4 ns) broadband reference for synthesis."""
+    """Broadband reference for synthesis, limited to `SIGNAL_BAND`."""
     rng = np.random.default_rng(seed)
     t = np.arange(n) * dt
     x = np.zeros(n)
-    f_lo, f_hi = 40e6, 80e6
-    for f0 in np.linspace(f_lo, f_hi, 24):
+    for f0 in np.linspace(*SIGNAL_BAND, 24):
         x += rng.uniform(0.5, 1.0) * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
     burst = np.exp(-0.5 * ((np.arange(n) - n / 2) / (n / 3)) ** 2)  # slow envelope
     x *= 0.2 + burst
@@ -231,27 +232,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config, dt = _pipeline_config(cfg, n_windows=n_windows)
     window, hop = config.plan.window_length, config.plan.hop
     seed = int(cfg.get("seed", 0))
-    track = simulate.make_track(
-        cfg.get("track", "random-walk"),
-        n_windows,
-        seed=seed,
-        az0=float(cfg.get("az", 120.0)),
-        el0=float(cfg.get("el", 45.0)),
-        az1=cfg.get("az_end"),
-        el1=cfg.get("el_end"),
-        window_length=window,
-        hop=hop,
-    )
-    if cfg.get("augment_noise_sigma") or cfg.get("augment_scale") or cfg.get("augment_flip"):
-        track = simulate.augment_track(
-            track,
-            AugmentSpec(
-                noise_sigma=float(cfg.get("augment_noise_sigma", 0.0)),
-                scale_factor=float(cfg.get("augment_scale", 1.0)),
-                flip=bool(cfg.get("augment_flip", 0)),
-                seed=seed,
-            ),
+    with _config_guard():  # nothing is synthesized or written for a bad setting
+        record_format(out, cfg.get("format"))
+        if "snr_db" in cfg:
+            simulate.snr_power_ratio(cfg["snr_db"])
+        track = simulate.make_track(
+            cfg.get("track", "random-walk"),
+            n_windows,
+            seed=seed,
+            az0=float(cfg.get("az", 120.0)),
+            el0=float(cfg.get("el", 45.0)),
+            az1=cfg.get("az_end"),
+            el1=cfg.get("el_end"),
+            window_length=window,
+            hop=hop,
         )
+        if any(k in cfg for k in ("augment_noise_sigma", "augment_scale", "augment_flip")):
+            track = simulate.augment_track(
+                track,
+                AugmentSpec(
+                    noise_sigma=float(cfg.get("augment_noise_sigma", 0.0)),
+                    scale_factor=float(cfg.get("augment_scale", 1.0)),
+                    flip=bool(cfg.get("augment_flip", 0)),
+                    seed=seed,
+                ),
+            )
     needed = (n_windows - 1) * hop + window
     ref = _reference_waveform(needed, dt, seed)
     sim = simulate.synthesize_record(ref, track, config.geometry, window, hop, dt=dt)
@@ -317,6 +322,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs
     snr_db = float(cfg.get("snr_db", 20.0))
+    with _config_guard():
+        simulate.snr_power_ratio(snr_db)
     datasets = []
     for ri in range(n_records):
         # record 0 replicates `simulate` with the same seed/window/hop/snr,

@@ -3,7 +3,7 @@
 Selectable by spec string:
 
 * ``bpf``               zero-phase Butterworth band-pass, 20-100 MHz
-* ``bpf-hw``            the same over the 40-80 MHz analog front-end band
+* ``bpf-hw``            the same over `signals.SIGNAL_BAND`, 40-80 MHz
 * ``kf``                scalar local-level Kalman filter
 * ``wt-<basis>-<rule>`` wavelet denoising, e.g. ``wt-sym4-sure``
 
@@ -19,11 +19,11 @@ from scipy.signal import butter, sosfiltfilt
 
 from itfmap._core import kalman_local_level
 from itfmap import wavelets
+from itfmap.signals import SIGNAL_BAND
 from itfmap.wavelets import WaveletBasis
 
 DEFAULT_BAND = (20e6, 100e6)   # digital band-pass cut-offs
-HARDWARE_BAND = (40e6, 80e6)   # analog front-end preset
-BANDS = {"bpf": DEFAULT_BAND, "bpf-hw": HARDWARE_BAND}
+BANDS = {"bpf": DEFAULT_BAND, "bpf-hw": SIGNAL_BAND}
 DEFAULT_ORDER = 4
 DEFAULT_LEVELS = 4
 

@@ -151,13 +151,9 @@ def run_benchmark(
     base = base_config or PipelineConfig()
     report = ErrorReport(grid=grid)
 
-    # (interp method, factor) -> spec; every x1 cell is the same integer
-    # peak, so each distinct spec is refined and scored once
-    cell_specs = {
-        (im, fa): InterpSpec() if fa == 1 else InterpSpec(method=im, factor=fa)
-        for im in grid.interp_methods
-        for fa in grid.factors
-    }
+    # (interp method, factor) -> spec; every x1 cell is the same spec, the
+    # integer peak, so each distinct spec is refined and scored once
+    cell_specs = {(im, fa): InterpSpec(method=im, factor=fa) for im in grid.interp_methods for fa in grid.factors}
     specs = list(dict.fromkeys(cell_specs.values()))
     # cell accumulators: (filter, method, imethod, factor) -> per-record stats
     acc: dict[tuple[str, str, str, int], list[ErrorStats]] = {

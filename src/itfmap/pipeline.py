@@ -41,7 +41,6 @@ class PipelineConfig:
     interp: InterpSpec = field(default_factory=InterpSpec)
     plan: SegmentationPlan = field(default_factory=SegmentationPlan)
     geometry: ArrayGeometry = field(default_factory=ArrayGeometry)
-    signal_band: tuple[float, float] = xcorr.DEFAULT_SIGNAL_BAND
 
     def __post_init__(self):
         if self.filter_spec is not None and denoise.parse_filter_spec(self.filter_spec) != self.filter_spec:
@@ -61,7 +60,7 @@ class PipelineConfig:
         long, when given)."""
         denoise.check_input(self.filter_spec, dt, length)
         if self.cc_method == "ccwd":
-            xcorr.band_levels(xcorr.DEFAULT_CCWD_LEVELS, dt, self.signal_band)
+            xcorr.band_levels(dt)
 
 
 @dataclass
@@ -120,7 +119,7 @@ def correlate_window(
     any needed channel is degenerate."""
     if any(window.degenerate):
         return None
-    bc, bd = xcorr.correlate_block(window.segments[:, None], config.cc_method, dt, config.signal_band)[0]
+    bc, bd = xcorr.correlate_block(window.segments[:, None], config.cc_method, dt)[0]
     lags = np.arange(1 - window.length, window.length)
     return CorrelationSeries(lags, bc), CorrelationSeries(lags, bd)
 
@@ -159,7 +158,7 @@ def window_peaks(
             continue
         good = block[:, ~bad] if bad.any() else block
         for m, found in parts.items():
-            coeff = xcorr.correlate_block(good, m, record.sample_interval, config.signal_band)
+            coeff = xcorr.correlate_block(good, m, record.sample_interval)
             found.append(xcorr.peak_neighborhoods(coeff.reshape(-1, 2 * w - 1)))
     fields = ("lag", "coefficient", "neighborhood")
     return {

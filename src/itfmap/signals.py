@@ -21,6 +21,7 @@ import numpy as np
 
 MAGIC = b"ITFR"
 DEFAULT_SAMPLE_INTERVAL = 4e-9
+SIGNAL_BAND = (40e6, 80e6)  # Hz, the VHF band of the analog front end
 DEFAULT_WINDOW_LENGTH = 256
 DEFAULT_HOP = 1
 
@@ -160,30 +161,24 @@ def normalize_segments(segments: np.ndarray) -> np.ndarray:
 # File I/O
 # ----------------------------------------------------------------------
 
-def _detect_format(path: Path) -> str:
-    return "raw-binary" if path.suffix in (".bin", ".raw", ".itfr") else "csv"
+def record_format(path: str | Path, fmt: str | None = None) -> str:
+    """`fmt`, or the format the suffix of `path` implies (``.bin``/``.raw``/
+    ``.itfr`` are binary); ValueError unless ``csv`` or ``raw-binary``."""
+    fmt = fmt or ("raw-binary" if Path(path).suffix in (".bin", ".raw", ".itfr") else "csv")
+    if fmt not in ("csv", "raw-binary"):
+        raise ValueError(f"unknown record format {fmt!r}")
+    return fmt
 
 
 def load_record(path: str | Path, fmt: str | None = None) -> SampleRecord:
-    """Load a 3-channel record; `fmt` is ``csv``/``raw-binary`` or inferred
-    from the suffix (``.bin``/``.raw``/``.itfr`` are binary)."""
+    """Load a 3-channel record in `record_format(path, fmt)`."""
     path = Path(path)
-    fmt = fmt or _detect_format(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "raw-binary":
-        return _load_raw(path)
-    raise ValueError(f"unknown record format {fmt!r}")
+    return _load_csv(path) if record_format(path, fmt) == "csv" else _load_raw(path)
 
 
 def save_record(record: SampleRecord, path: str | Path, fmt: str | None = None) -> Path:
     path = Path(path)
-    fmt = fmt or _detect_format(path)
-    if fmt == "csv":
-        return _save_csv(record, path)
-    if fmt == "raw-binary":
-        return _save_raw(record, path)
-    raise ValueError(f"unknown record format {fmt!r}")
+    return _save_csv(record, path) if record_format(path, fmt) == "csv" else _save_raw(record, path)
 
 
 def _load_csv(path: Path) -> SampleRecord:

@@ -8,6 +8,7 @@ so the whole pipeline can be scored against it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,9 @@ class AngleTrack:
         el = np.asarray(self.el_deg, dtype=np.float64)
         if az.shape != el.shape or az.ndim != 1 or len(az) < 1:
             raise ValueError("need equal-length non-empty az/el arrays")
-        if np.any((el < 0.0) | (el > 90.0)):
+        if not np.isfinite(az).all():
+            raise ValueError("azimuth not finite")
+        if not ((el >= 0.0) & (el <= 90.0)).all():
             raise ValueError("elevation out of [0, 90]")
         object.__setattr__(self, "az_deg", az)
         object.__setattr__(self, "el_deg", el)
@@ -61,10 +64,10 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 < self.scale_factor < np.inf:
+            raise ValueError(f"scale_factor must be finite and > 0, got {self.scale_factor}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,14 @@ def make_track(
 
     kind ``constant`` repeats (az0, el0); ``linear-sweep`` moves linearly to
     (az1, el1); ``random-walk`` takes seeded Gaussian steps of scale
-    (az_step, el_step) with elevation reflected into `el_range`.
+    (az_step, el_step) from el0 clipped into `el_range`, with elevation
+    reflected into `el_range`.  A non-finite angle, or an elevation outside
+    [0, 90] on a constant track or a sweep, raises ValueError.
     """
     if n < 1:
         raise ValueError("track needs at least one window")
+    if not np.isfinite([az0, el0]).all():
+        raise ValueError(f"start angles must be finite, got az {az0}, el {el0}")
     if kind == "constant":
         az = np.full(n, az0 % 360.0)
         el = np.full(n, el0)
@@ -120,7 +127,6 @@ def make_track(
             el[i] = e
     else:
         raise ValueError(f"unknown track kind {kind!r}; expected one of {TRACK_KINDS}")
-    el = np.clip(el, 0.0, 90.0)
     return AngleTrack(az, el, window_length=window_length, hop=hop)
 
 
@@ -222,18 +228,33 @@ def synthesize_record(
     return SimulatedRecord(record=record, truth=out_track, tau1_s=tau1, tau2_s=tau2)
 
 
+def snr_power_ratio(snr_db: float) -> float:
+    """The signal-to-noise power ratio 10^(snr_db/10), infinite (no noise)
+    at +inf dB; ValueError unless it is a normal positive float, so NaN,
+    -inf and dB values far enough from 0 to overflow or underflow fail."""
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = 0.0
+    if not ratio >= sys.float_info.min:
+        raise ValueError(f"SNR of {snr_db} dB has no positive finite power ratio")
+    return ratio
+
+
 def add_awgn(signal: np.ndarray, snr_db: float, seed: int = 0) -> np.ndarray:
     """White Gaussian noise at the requested SNR; infinite SNR is identity.
 
-    Noise power = signal power / 10^(snr_db/10); deterministic per seed.
+    Noise power = signal power / `snr_power_ratio(snr_db)`; deterministic
+    per seed.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if np.isinf(snr_db) and snr_db > 0:
+    ratio = snr_power_ratio(snr_db)
+    if ratio == np.inf:
         return x.copy()
     power = float(np.mean(x**2))
     if power == 0.0:
         raise ValueError("zero-power signal cannot take a finite SNR")
-    sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
+    sigma = np.sqrt(power / ratio)
     rng = np.random.default_rng(seed)
     return x + rng.normal(0.0, sigma, len(x))
 

@@ -5,8 +5,7 @@ spectral product (`cc_freq`) and undecimated-wavelet-domain (`cc_wavelet`).
 `correlate_block` runs them on a block of windows at once; the `cc_*`
 functions and `correlate` are its one-pair forms.
 `peak_neighborhoods` and `refine_peaks` find and interpolate the peaks of
-many series at once (`refine_peak` is the one-series form); `lag_to_tdoa`
-converts lags to seconds and phase.
+many series at once (`refine_peak` is the one-series form).
 
 Sign convention, fixed project-wide: a positive lag means the second input
 is delayed relative to the first.
@@ -16,18 +15,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import pi
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from itfmap._core import correlate_full
 from itfmap import wavelets
-from itfmap.wavelets import WaveletBasis
+from itfmap.signals import SIGNAL_BAND
 
-CENTER_FREQUENCY = 60e6          # Hz, band center used for phase readout
-DEFAULT_SIGNAL_BAND = (40e6, 80e6)
+CC_METHODS = ("cctd", "ccfd", "ccwd")
 DEFAULT_CCWD_LEVELS = 2
+_CCWD_FILTERS = wavelets.level_filters(wavelets.get_basis("sym4"), DEFAULT_CCWD_LEVELS)  # built once
 INTERP_NEIGHBORHOOD = 8          # integer lags kept on each side of the peak
 REFINE_BATCH_ROWS = 256          # rows resampled together: bounds the dense-grid temporaries
 
@@ -51,7 +49,8 @@ class CorrelationSeries:
 
 @dataclass(frozen=True)
 class InterpSpec:
-    """Peak refinement: method in {none, linear, cubic}, factor in {1,2,4,8}."""
+    """Peak refinement: method in {none, linear, cubic}, factor in {1,2,4,8};
+    method ``none`` or factor 1 is stored as ``("none", 1)``."""
 
     method: str = "none"
     factor: int = 1
@@ -61,6 +60,9 @@ class InterpSpec:
             raise ValueError(f"unknown interpolation method {self.method!r}")
         if self.factor not in (1, 2, 4, 8):
             raise ValueError(f"interpolation factor must be 1, 2, 4 or 8, got {self.factor}")
+        if self.method == "none" or self.factor == 1:
+            object.__setattr__(self, "method", "none")
+            object.__setattr__(self, "factor", 1)
 
     @classmethod
     def parse(cls, text: str) -> "InterpSpec":
@@ -72,9 +74,6 @@ class InterpSpec:
             raise ValueError(f"bad interpolation selector {text!r}")
         method, factor = t.split(":", 1)
         return cls(method=method, factor=int(factor))
-
-    def label(self) -> str:
-        return "none" if self.method == "none" or self.factor == 1 else f"{self.method}:{self.factor}"
 
 
 def _validated(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -103,42 +102,38 @@ def cc_freq(x: np.ndarray, y: np.ndarray) -> CorrelationSeries:
     return correlate(x, y, "ccfd")
 
 
-def cc_wavelet(
-    x: np.ndarray,
-    y: np.ndarray,
-    basis: WaveletBasis,
-    levels: int = DEFAULT_CCWD_LEVELS,
-    dt: float = 4e-9,
-    band: tuple[float, float] = DEFAULT_SIGNAL_BAND,
-) -> CorrelationSeries:
-    """Wavelet-domain correlation on the undecimated decomposition.
+def cc_wavelet(x: np.ndarray, y: np.ndarray, dt: float = 4e-9) -> CorrelationSeries:
+    """Wavelet-domain correlation on the undecimated sym4 decomposition of
+    `DEFAULT_CCWD_LEVELS` levels.
 
     Both segments are decomposed with the shift-invariant transform; the
-    detail sequences of every level whose octave intersects `band` are
+    detail sequences of every level whose octave intersects `SIGNAL_BAND` are
     cross-correlated and the normalized per-level series are averaged with
     weights given by the geometric mean of the two segments' level energies.
     """
-    coeff = _cross_wavelet(_validated(x, y), wavelets.level_filters(basis, levels), band_levels(levels, dt, band))
-    return CorrelationSeries(_lag_axis(len(x)), coeff[0, 0])
+    return correlate(x, y, "ccwd", dt)
 
 
-def band_levels(levels: int, dt: float, band: tuple[float, float]) -> list[int]:
-    """`wavelets.levels_in_band`, raising ValueError when no level is in band."""
-    selected = wavelets.levels_in_band(levels, dt, band)
+def band_levels(dt: float) -> list[int]:
+    """The ccwd levels in `SIGNAL_BAND` at sample interval `dt`, raising
+    ValueError when there is none."""
+    selected = wavelets.levels_in_band(DEFAULT_CCWD_LEVELS, dt, SIGNAL_BAND)
     if not selected:
-        raise ValueError(f"no decomposition level of {levels} intersects band {band} at dt={dt}")
+        raise ValueError(
+            f"no decomposition level of {DEFAULT_CCWD_LEVELS} intersects band {SIGNAL_BAND} at dt={dt}"
+        )
     return selected
 
 
-def _cross_wavelet(block: np.ndarray, filters: list[np.ndarray], selected: list[int]) -> np.ndarray:
-    """The ccwd rows of `correlate_block` on undecimated `filters`, averaging
-    the `selected` levels (see `cc_wavelet`)."""
+def _cross_wavelet(block: np.ndarray, selected: list[int]) -> np.ndarray:
+    """The ccwd rows of `correlate_block`, averaging the `selected` levels
+    (see `cc_wavelet`)."""
     n = block.shape[-1]
-    if n < 2 ** len(filters):
-        raise ValueError(f"signal of {n} samples too short for {len(filters)} levels")
+    if n < 2**DEFAULT_CCWD_LEVELS:
+        raise ValueError(f"signal of {n} samples too short for {DEFAULT_CCWD_LEVELS} levels")
 
     def in_band(segment):  # deeper levels and the last approximation go unused
-        details = wavelets.modwt_levels(segment, filters[: max(selected)], approximation=False)
+        details = wavelets.modwt_levels(segment, _CCWD_FILTERS[: max(selected)], approximation=False)
         return [(details[j - 1], float(np.dot(details[j - 1], details[j - 1]))) for j in selected]
 
     out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
@@ -215,7 +210,7 @@ def refine_peaks(peaks: PeakNeighborhoods, interps: Sequence[InterpSpec]) -> lis
     out = [peaks.lag.astype(np.float64) for _ in interps]
     finest: dict[str, int] = {}
     for spec in interps:
-        if spec.method != "none" and spec.factor > 1:
+        if spec.method != "none":
             finest[spec.method] = max(spec.factor, finest.get(spec.method, 1))
     if not finest:
         return out
@@ -233,7 +228,7 @@ def refine_peaks(peaks: PeakNeighborhoods, interps: Sequence[InterpSpec]) -> lis
         for method, top in finest.items():
             curve = _resample(method, vals, first, last, top)
             for spec, lags in zip(interps, out):
-                if spec.method == method and spec.factor > 1:
+                if spec.method == method:
                     dense = lo[rows][:, None] + np.arange((last - first) * spec.factor + 1) / spec.factor
                     best = _argmax_nearest_zero(curve[:, :: top // spec.factor], dense)
                     lags[rows] = dense[np.arange(len(rows)), best]
@@ -253,41 +248,13 @@ def refine_peak(series: CorrelationSeries, interp: InterpSpec) -> float:
     return float(refine_peaks(peak_neighborhoods(series.coefficients), [interp])[0][0])
 
 
-def lag_to_tdoa(lag_samples: float, dt: float, f: float = CENTER_FREQUENCY) -> tuple[float, float]:
-    """(tau seconds, phase radians) for a fractional sample lag.
-
-    tau = lag * dt and phase = 2 pi f tau at band-center frequency f.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if f <= 0:
-        raise ValueError("f must be > 0")
-    tau = lag_samples * dt
-    return tau, 2.0 * pi * f * tau
-
-
-CC_METHODS = ("cctd", "ccfd", "ccwd")
-_CCWD_FILTERS = wavelets.level_filters(wavelets.get_basis("sym4"), DEFAULT_CCWD_LEVELS)  # built once
-
-
-def correlate(
-    x: np.ndarray,
-    y: np.ndarray,
-    method: str,
-    dt: float = 4e-9,
-    band: tuple[float, float] = DEFAULT_SIGNAL_BAND,
-) -> CorrelationSeries:
+def correlate(x: np.ndarray, y: np.ndarray, method: str, dt: float = 4e-9) -> CorrelationSeries:
     """Method-string dispatch (``cctd`` | ``ccfd`` | ``ccwd``) on one pair:
     a one-window `correlate_block`."""
-    return CorrelationSeries(_lag_axis(len(x)), correlate_block(_validated(x, y), method, dt, band)[0, 0])
+    return CorrelationSeries(_lag_axis(len(x)), correlate_block(_validated(x, y), method, dt)[0, 0])
 
 
-def correlate_block(
-    block: np.ndarray,
-    method: str,
-    dt: float = 4e-9,
-    band: tuple[float, float] = DEFAULT_SIGNAL_BAND,
-) -> np.ndarray:
+def correlate_block(block: np.ndarray, method: str, dt: float = 4e-9) -> np.ndarray:
     """Correlation coefficients of each window's first segment with each of
     its others, by `method`; ``ccwd`` runs on sym4 at `DEFAULT_CCWD_LEVELS`
     levels.
@@ -298,7 +265,7 @@ def correlate_block(
     many pairs it is in.
     """
     if method == "ccwd":
-        return _cross_wavelet(block, _CCWD_FILTERS, band_levels(DEFAULT_CCWD_LEVELS, dt, band))
+        return _cross_wavelet(block, band_levels(dt))
     if method not in CC_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
     norms = np.array([[np.linalg.norm(s) for s in channel] for channel in block])  # one per segment

@@ -194,11 +194,41 @@ class TestConfigFile:
         ["simulate", "--windows", "-3"],
         ["bench", "--record-windows", "0"],
         ["bench", "--records", "0"],
+        ["simulate", "--snr-db", "nan"],
+        ["bench", "--snr-db", "nan"],
+        ["simulate", "--snr-db", "1e308"],
+        ["bench", "--snr-db", "1e308"],
+        ["simulate", "--snr-db=-1e308"],
+        ["simulate", "--track", "spiral"],
+        ["simulate", "--az", "nan"],
+        ["simulate", "--el", "inf"],
+        ["simulate", "--el", "95", "--track", "constant"],
+        ["simulate", "--el-end", "95", "--track", "linear-sweep"],
+        ["simulate", "--augment-scale", "-1"],
+        ["simulate", "--augment-scale", "0"],
+        ["simulate", "--augment-noise-sigma", "-1"],
+        ["simulate", "--augment-noise-sigma", "nan"],
+        ["simulate", "--format", "xml"],
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: invalid configuration:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_minus_infinite_snr_from_file_is_config_error(self, tmp_path, command):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("snr_db = -inf\n")
+        assert run(command, "--config", str(cfgf), "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
         assert not (tmp_path / "o.csv").exists()
+
+    def test_neutral_augment_settings_leave_the_record_unchanged(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("augment_flip = 0\naugment_noise_sigma = 0\n")
+        common = ["--windows", "6", "--window", "32", "--hop", "8", "--seed", "4"]
+        assert run("simulate", "--output", str(tmp_path / "a.csv"), *common) == EXIT_OK
+        assert run("simulate", "--output", str(tmp_path / "b.csv"), "--config", str(cfgf), *common) == EXIT_OK
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_file_plus_flag_override(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
@@ -211,8 +241,9 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
-        cfgf.write_text("wibble = 3\n")
-        assert run("simulate", "--config", str(cfgf), "--output", str(tmp_path / "r.csv")) == EXIT_CONFIG
+        for line in ("wibble = 3", "band_low_hz = 40e6"):
+            cfgf.write_text(line + "\n")
+            assert run("simulate", "--config", str(cfgf), "--output", str(tmp_path / "r.csv")) == EXIT_CONFIG
 
     def test_malformed_line_rejected(self, tmp_path):
         cfgf = tmp_path / "run.cfg"

@@ -1,9 +1,13 @@
-"""Property: `itfmap map` ends every hostile input in a documented exit code.
+"""Properties: `itfmap map` ends every hostile input in a documented exit
+code, and `itfmap simulate` either writes its record or rejects its settings
+with exit 3 before writing anything.
 
 Records are small and generated from a few drawn parameters: records shorter
 than the window, constant channels, NaN and inf samples, magnitudes near
 1e300, truncated or garbled raw-binary headers, malformed CSV headers and a
-hop larger than the record.
+hop larger than the record.  Simulate settings mix valid values with NaN,
+infinities, out-of-range angles, non-positive augmentation and unknown track
+kinds and formats.
 """
 
 import struct
@@ -95,3 +99,35 @@ def test_map_exits_with_a_documented_code(record, window, hop, filt, cc, interp,
             "--hop", str(hop), "--filter", filt, "--cc", cc, "--interp", interp,
         ])
     assert code in DOCUMENTED
+
+
+# flag values: "=" keeps argparse from reading a leading "-" as an option
+SNR_VALUES = ["20", "0", "-30", "3000", "inf", "-inf", "nan", "1e308", "-1e308"]
+ANGLE_VALUES = ["0", "45", "90", "359.5", "-720", "95", "-5", "nan", "inf", "-inf", "1e308"]
+AUGMENT_VALUES = ["0", "1", "1.5", "1e300", "-1", "nan", "inf"]
+
+
+def setting(values):
+    """A flag value drawn from `values`, or (two draws in three) no flag."""
+    return st.one_of(st.none(), st.none(), st.sampled_from(values))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    snr=setting(SNR_VALUES),
+    track=setting(["constant", "linear-sweep", "random-walk", "spiral"]),
+    angles=st.fixed_dictionaries({k: setting(ANGLE_VALUES) for k in ("az", "el", "az-end", "el-end")}),
+    augment=st.fixed_dictionaries({k: setting(AUGMENT_VALUES) for k in ("augment-noise-sigma", "augment-scale")}),
+    flip=st.booleans(),
+    fmt=setting(["csv", "raw-binary", "xml"]),
+)
+def test_simulate_writes_or_rejects_its_settings(snr, track, angles, augment, flip, fmt):
+    flags = {"snr-db": snr, "track": track, "format": fmt, **angles, **augment}
+    argv = [f"--{k}={v}" for k, v in flags.items() if v is not None] + ["--augment-flip"] * flip
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rec.csv"
+        code = main(["simulate", "--output", str(out), "--window", "16", "--hop", "4", "--windows", "4", *argv])
+        written = sorted(p.name for p in Path(tmp).iterdir())
+    assert code in (0, 3)
+    assert written == (["rec.csv", "rec.csv.truth.csv"] if code == 0 else [])

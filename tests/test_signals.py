@@ -11,6 +11,7 @@ from itfmap.signals import (
     SegmentationPlan,
     load_record,
     normalize_window,
+    record_format,
     save_record,
     segment,
 )
@@ -75,6 +76,20 @@ class TestCsvFormat:
             p.write_text(f"# dt={dt}\n1.0,2.0,3.0\n")
             with pytest.raises(RecordFormatError, match="non-positive"):
                 load_record(p)
+
+
+class TestRecordFormat:
+    def test_suffix_or_explicit(self):
+        assert record_format("r.csv") == record_format("r.txt") == "csv"
+        assert record_format("r.bin") == record_format("r.itfr") == "raw-binary"
+        assert record_format("r.bin", "csv") == "csv"
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown record format"):
+            record_format("r.csv", "xml")
+        with pytest.raises(ValueError, match="unknown record format"):
+            save_record(make_record(8), tmp_path / "r.csv", "xml")
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestRawBinaryFormat:

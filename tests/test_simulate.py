@@ -14,6 +14,7 @@ from itfmap.simulate import (
     load_truth,
     make_track,
     save_truth,
+    snr_power_ratio,
     synthesize_record,
 )
 
@@ -56,6 +57,21 @@ class TestMakeTrack:
         with pytest.raises(ValueError, match="unknown track kind"):
             make_track("spiral", 5)
 
+    @pytest.mark.parametrize("kind, angles", [
+        ("constant", {"el0": 95.0}),
+        ("constant", {"el0": -5.0}),
+        ("linear-sweep", {"el1": 95.0}),
+        ("linear-sweep", {"az1": np.nan}),
+        ("random-walk", {"az0": np.nan}),
+        ("random-walk", {"el0": np.inf}),
+    ])
+    def test_angles_outside_the_domain_rejected(self, kind, angles):
+        with pytest.raises(ValueError):
+            make_track(kind, 5, **angles)
+
+    def test_random_walk_starts_inside_its_range(self):
+        assert make_track("random-walk", 1, el0=95.0, el_step=0.0).el_deg[0] == 85.0
+
 
 class TestAugmentTrack:
     def base(self):
@@ -95,6 +111,11 @@ class TestAugmentTrack:
             AugmentSpec(scale_factor=0.0)
         with pytest.raises(ValueError):
             AugmentSpec(noise_sigma=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                AugmentSpec(scale_factor=bad)
+            with pytest.raises(ValueError):
+                AugmentSpec(noise_sigma=bad)
 
 
 class TestSynthesize:
@@ -208,11 +229,25 @@ class TestAwgn:
         with pytest.raises(ValueError, match="zero-power"):
             add_awgn(np.zeros(64), 10.0)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, 1e308, -1e308, -3090.0])
+    def test_snr_without_a_normal_power_ratio_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="power ratio"):
+            add_awgn(reference(64), snr_db)
+
+    def test_power_ratio(self):
+        assert snr_power_ratio(20.0) == 100.0
+        assert snr_power_ratio(np.inf) == np.inf
+
 
 class TestAngleTrack:
     def test_elevation_domain_enforced(self):
-        with pytest.raises(ValueError):
-            AngleTrack(np.array([0.0]), np.array([91.0]))
+        for el in (91.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="elevation"):
+                AngleTrack(np.array([0.0]), np.array([el]))
+
+    def test_azimuth_must_be_finite(self):
+        with pytest.raises(ValueError, match="azimuth"):
+            AngleTrack(np.array([np.inf]), np.array([45.0]))
 
     def test_length_one_allowed(self):
         assert len(AngleTrack(np.array([10.0]), np.array([45.0]))) == 1

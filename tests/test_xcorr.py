@@ -1,11 +1,10 @@
-"""Correlation routes, peak refinement, and TDOA conversion."""
+"""Correlation routes and peak refinement."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from itfmap import xcorr
-from itfmap.wavelets import get_basis
 from itfmap.xcorr import (
     CorrelationSeries,
     DegenerateWindowError,
@@ -14,7 +13,6 @@ from itfmap.xcorr import (
     cc_freq,
     cc_time,
     cc_wavelet,
-    lag_to_tdoa,
     peak_neighborhoods,
     refine_peak,
     refine_peaks,
@@ -129,40 +127,38 @@ class TestCcFreq:
 class TestCcWavelet:
     def test_identity_peak(self):
         x = normalized_window(12)
-        lag, coeff = cc_wavelet(x, x, get_basis("sym4")).peak()
+        lag, coeff = cc_wavelet(x, x).peak()
         assert lag == 0
         assert coeff == pytest.approx(1.0, abs=1e-6)
 
     def test_integer_shift_matches_cc_time(self):
         x = normalized_window(13)
         y = delayed_by(x, 5)
-        assert cc_wavelet(x, y, get_basis("sym4")).peak()[0] == cc_time(x, y).peak()[0] == 5
+        assert cc_wavelet(x, y).peak()[0] == cc_time(x, y).peak()[0] == 5
 
     def test_null_distribution(self):
         high = 0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             a, b = rng.normal(size=256), rng.normal(size=256)
-            _, coeff = cc_wavelet(a, b, get_basis("sym4")).peak()
+            _, coeff = cc_wavelet(a, b).peak()
             high += coeff >= 0.35
         assert high <= 10  # < 0.35 in >= 90% of seeded trials
 
     def test_band_mismatch_rejected(self):
         x = normalized_window(14)
         with pytest.raises(ValueError, match="band"):
-            cc_wavelet(x, x, get_basis("sym4"), levels=1, band=(1e6, 2e6))
+            cc_wavelet(x, x, dt=1e-7)  # both levels lie below 5 MHz
 
     def test_lag_axis_shared_with_cc_time(self):
         x = normalized_window(15)
-        np.testing.assert_array_equal(
-            cc_wavelet(x, x, get_basis("sym4")).lags, cc_time(x, x).lags
-        )
+        np.testing.assert_array_equal(cc_wavelet(x, x).lags, cc_time(x, x).lags)
 
     def test_coefficient_bound(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             a, b = rng.normal(size=256), rng.normal(size=256)
-            assert np.max(np.abs(cc_wavelet(a, b, get_basis("sym4")).coefficients)) <= 1 + 1e-9
+            assert np.max(np.abs(cc_wavelet(a, b).coefficients)) <= 1 + 1e-9
 
 
 class TestCorrelateBlock:
@@ -233,7 +229,11 @@ class TestRefinePeak:
             InterpSpec("quadratic", 2)
         assert InterpSpec.parse("cubic:8") == InterpSpec("cubic", 8)
         assert InterpSpec.parse("none") == InterpSpec()
-        assert InterpSpec.parse("linear:4").label() == "linear:4"
+
+    def test_no_refinement_has_one_spelling(self):
+        for spec in (InterpSpec("cubic", 1), InterpSpec("linear", 1), InterpSpec("none", 4)):
+            assert (spec.method, spec.factor) == ("none", 1)
+            assert spec == InterpSpec() and hash(spec) == hash(InterpSpec())
 
 
 def reference_peak(lags, c):
@@ -350,23 +350,3 @@ class TestBatchedRefinement:
         empty = PeakNeighborhoods(255, np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 17)))
         assert [len(x) for x in refine_peaks(empty, ALL_SPECS)] == [0] * len(ALL_SPECS)
 
-
-class TestLagToTdoa:
-    def test_zero(self):
-        assert lag_to_tdoa(0.0, DT) == (0.0, 0.0)
-
-    def test_hand_arithmetic(self):
-        tau, phase = lag_to_tdoa(5, DT, 60e6)
-        assert tau == pytest.approx(20e-9, abs=0)
-        assert phase == pytest.approx(2 * np.pi * 60e6 * 20e-9, rel=1e-12)
-        assert phase == pytest.approx(7.5398223686, abs=1e-9)
-
-    def test_linearity_negative_fraction(self):
-        tau, _ = lag_to_tdoa(-2.5, DT)
-        assert tau == pytest.approx(-10e-9, abs=0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lag_to_tdoa(1.0, 0.0)
-        with pytest.raises(ValueError):
-            lag_to_tdoa(1.0, DT, 0.0)
