@@ -1,9 +1,11 @@
 """Command-line front end: synthesize records, map records to angle tracks,
 run the benchmark grid, and render map CSVs to SVG.
 
-Configuration comes from an optional flat ``key = value`` file plus flags
-(flags win).  Every output file is self-describing: its header comments carry
-the producing configuration, and seeded runs are byte-identical.
+Each command takes the settings `SETTINGS` lists for it, from an optional
+flat ``key = value`` file plus flags (flags win).  The map CSV, the elevation
+CSV and the report CSV carry the merged settings as header comments; the
+record, its sidecar, the markdown report and the SVG do not.  Seeded runs are
+byte-identical.
 
 Exit codes: 0 ok, 2 usage (argparse), 3 invalid configuration, 4 missing or
 unreadable input, 5 write failure, 6 processing error.
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from itfmap import evaluate, pipeline, simulate
+from itfmap import evaluate, geometry, pipeline, signals, simulate
 from itfmap.denoise import parse_filter_spec
 from itfmap.evaluate import BenchmarkGrid
 from itfmap.geometry import ArrayGeometry
@@ -42,39 +44,48 @@ class CliError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Config file + flags
+# Settings: config file + flags
 # ----------------------------------------------------------------------
 
-CONFIG_KEYS = {
-    "input": str,
-    "output": str,
-    "filter": str,
-    "cc": str,
-    "interp": str,
-    "window": int,
-    "hop": int,
-    "baseline_m": float,
-    "dt_ns": float,
-    "seed": int,
-    "snr_db": float,
-    "c": float,
-    "track": str,
-    "windows": int,
-    "az": float,
-    "el": float,
-    "az_end": float,
-    "el_end": float,
-    "format": str,
-    "el_series": str,
-    "markdown": str,
-    "augment_noise_sigma": float,
-    "augment_scale": float,
-    "augment_flip": int,
+def _switch(value: str) -> int:
+    """An on/off setting: a bare flag, or 0/1 in a config file."""
+    return int(value)
+
+
+# key -> (type, the commands that read it, help).  A command takes exactly
+# its keys, as ``--key-name`` flags and as config-file keys.
+SETTINGS = {
+    "input": (str, ("map", "plot"), "input path"),
+    "output": (str, ("simulate", "map", "bench", "plot"), "output path"),
+    "format": (str, ("simulate", "map"), "record format: csv | raw-binary (default by suffix)"),
+    "filter": (str, ("map",), "bpf | bpf-hw | kf | wt-<basis>-<rule> | none"),
+    "cc": (str, ("map",), "cctd | ccfd | ccwd"),
+    "interp": (str, ("map",), "none | linear:N | cubic:N (N in 1,2,4,8)"),
+    "window": (int, ("simulate", "map", "bench"), "window length in samples"),
+    "hop": (int, ("simulate", "map", "bench"), "window hop in samples"),
+    "baseline_m": (float, ("simulate", "map", "bench"), "baseline length (m)"),
+    "c": (float, ("simulate", "map", "bench"), "propagation speed (m/s)"),
+    "dt_ns": (float, ("simulate", "bench"), "sample interval (ns)"),
+    "seed": (int, ("simulate", "bench"), "random seed"),
+    "snr_db": (float, ("simulate", "bench"), "channel AWGN SNR (dB); default none (simulate), 20 (bench)"),
+    "track": (str, ("simulate",), "constant | linear-sweep | random-walk"),
+    "windows": (int, ("simulate",), "number of windows to generate"),
+    "az": (float, ("simulate",), "initial azimuth (deg)"),
+    "el": (float, ("simulate",), "initial elevation (deg)"),
+    "az_end": (float, ("simulate",), "sweep end azimuth (deg)"),
+    "el_end": (float, ("simulate",), "sweep end elevation (deg)"),
+    "augment_noise_sigma": (float, ("simulate",), "augment: elevation noise sigma (deg)"),
+    "augment_scale": (float, ("simulate",), "augment: outward scale about the centroid"),
+    "augment_flip": (_switch, ("simulate",), "augment: flip the track horizontally"),
+    "el_series": (str, ("map",), "also write elevation-vs-time CSV here"),
+    "markdown": (str, ("bench",), "also render the report as a markdown table here"),
+    "records": (int, ("bench",), "simulated records to score"),
+    "record_windows": (int, ("bench",), "windows per record"),
 }
 
 
-def read_config_file(path: Path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+def read_config_file(path: Path, command: str) -> dict:
+    """Flat ``key = value`` lines of `command`'s settings; '#' starts a comment."""
     if not path.exists():
         raise CliError(f"config file not found: {path}", EXIT_INPUT)
     out = {}
@@ -86,10 +97,13 @@ def read_config_file(path: Path) -> dict:
             raise CliError(f"{path}:{ln}: expected 'key = value'", EXIT_CONFIG)
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in CONFIG_KEYS:
+        if key not in SETTINGS:
             raise CliError(f"{path}:{ln}: unknown config key {key!r}", EXIT_CONFIG)
+        kind, commands, _ = SETTINGS[key]
+        if command not in commands:
+            raise CliError(f"{path}:{ln}: {command} does not take config key {key!r}", EXIT_CONFIG)
         try:
-            out[key] = CONFIG_KEYS[key](value)
+            out[key] = kind(value)
         except ValueError as exc:
             raise CliError(f"{path}:{ln}: bad value for {key}: {exc}", EXIT_CONFIG) from exc
     return out
@@ -98,58 +112,21 @@ def read_config_file(path: Path) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="itfmap", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, run in COMMANDS.items():
+        # no abbreviations: `plot --c` must not read as `plot --config`
+        sp = sub.add_parser(command, help=run.__doc__, allow_abbrev=False)
         sp.add_argument("--config", type=Path, help="flat key = value config file")
-        sp.add_argument("--input", help="input path")
-        sp.add_argument("--output", help="output path")
-        sp.add_argument("--filter", dest="filter", help="bpf | bpf-hw | kf | wt-<basis>-<rule> | none")
-        sp.add_argument("--cc", help="cctd | ccfd | ccwd")
-        sp.add_argument("--interp", help="none | linear:N | cubic:N (N in 1,2,4,8)")
-        sp.add_argument("--window", type=int, help="window length in samples")
-        sp.add_argument("--hop", type=int, help="window hop in samples")
-        sp.add_argument("--baseline-m", dest="baseline_m", type=float, help="baseline length (m)")
-        sp.add_argument("--dt-ns", dest="dt_ns", type=float, help="sample interval (ns)")
-        sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--snr-db", dest="snr_db", type=float, help="channel AWGN SNR (dB); omit for none")
-        sp.add_argument("--c", type=float, help="propagation speed (m/s)")
-
-    sp = sub.add_parser("simulate", help="synthesize a record + ground-truth sidecar")
-    common(sp)
-    sp.add_argument("--track", help="constant | linear-sweep | random-walk")
-    sp.add_argument("--windows", type=int, help="number of windows to generate")
-    sp.add_argument("--az", type=float, help="initial azimuth (deg)")
-    sp.add_argument("--el", type=float, help="initial elevation (deg)")
-    sp.add_argument("--az-end", dest="az_end", type=float, help="sweep end azimuth")
-    sp.add_argument("--el-end", dest="el_end", type=float, help="sweep end elevation")
-    sp.add_argument("--format", help="csv | raw-binary (default by suffix)")
-    sp.add_argument("--augment-noise-sigma", dest="augment_noise_sigma", type=float)
-    sp.add_argument("--augment-scale", dest="augment_scale", type=float)
-    sp.add_argument("--augment-flip", dest="augment_flip", action="store_const", const=1)
-
-    sp = sub.add_parser("map", help="map a record to per-window directions")
-    common(sp)
-    sp.add_argument("--el-series", dest="el_series", help="also write elevation-vs-time CSV here")
-
-    sp = sub.add_parser("bench", help="run the benchmark grid on simulated records")
-    common(sp)
-    sp.add_argument("--markdown", help="also render the report as a markdown table here")
-    sp.add_argument("--records", type=int, default=2, help="simulated records to score")
-    sp.add_argument("--record-windows", type=int, default=120, help="windows per record")
-
-    sp = sub.add_parser("plot", help="render a map CSV as an SVG scatter")
-    common(sp)
+        for key, (kind, commands, text) in SETTINGS.items():
+            if command in commands:
+                how = {"action": "store_const", "const": 1} if kind is _switch else {"type": kind}
+                sp.add_argument("--" + key.replace("_", "-"), help=text, **how)
     return p
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(read_config_file(args.config))
-    for key in CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    """The command's settings from its config file, overlaid by its flags."""
+    cfg = read_config_file(args.config, args.command) if args.config else {}
+    cfg.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     return cfg
 
 
@@ -169,7 +146,7 @@ def _config_guard():
 
 
 def _pipeline_config(
-    cfg: dict, default_hop: int = 1, grid: BenchmarkGrid | None = None,
+    cfg: dict, default_hop: int = signals.DEFAULT_HOP, grid: BenchmarkGrid | None = None,
     n_windows: int = 1, n_records: int = 1,
 ) -> tuple[pipeline.PipelineConfig, float]:
     """The run configuration and the sample interval (s) from the merged
@@ -181,15 +158,14 @@ def _pipeline_config(
             raise ValueError(f"window count must be at least 1, got {n_windows}")
         if n_records < 1:
             raise ValueError(f"record count must be at least 1, got {n_records}")
-        dt = float(cfg.get("dt_ns", 4.0)) * 1e-9
+        dt = cfg["dt_ns"] * 1e-9 if "dt_ns" in cfg else signals.DEFAULT_SAMPLE_INTERVAL
         if not 0 < dt < np.inf:
             raise ValueError(f"sample interval must be finite and > 0, got {cfg['dt_ns']} ns")
         plan = SegmentationPlan(
-            window_length=int(cfg.get("window", 256)), hop=int(cfg.get("hop", default_hop))
+            window_length=cfg.get("window", signals.DEFAULT_WINDOW_LENGTH), hop=cfg.get("hop", default_hop)
         )
         geom = ArrayGeometry(
-            d=float(cfg.get("baseline_m", 15.0)),
-            c=float(cfg.get("c", 299792458.0)),
+            d=cfg.get("baseline_m", geometry.DEFAULT_BASELINE_M), c=cfg.get("c", geometry.SPEED_OF_LIGHT)
         )
         config = pipeline.PipelineConfig(
             filter_spec=parse_filter_spec(cfg.get("filter", "none")),
@@ -225,13 +201,28 @@ def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
     return x / np.max(np.abs(x))
 
 
+def _synthesize(
+    track: simulate.AngleTrack, config: pipeline.PipelineConfig, dt: float,
+    seed: int, noise_seed: int, snr_db: float | None,
+) -> simulate.SimulatedRecord:
+    """The record `simulate` writes and `bench` scores: a reference waveform
+    seeded by `seed`, delayed along `track` onto the array of `config`, plus
+    AWGN at `snr_db` seeded by `noise_seed` unless `snr_db` is None."""
+    window, hop = config.plan.window_length, config.plan.hop
+    ref = _reference_waveform((len(track) - 1) * hop + window, dt, seed)
+    sim = simulate.synthesize_record(ref, track, config.geometry, window, hop, dt=dt)
+    if snr_db is None:
+        return sim
+    return replace(sim, record=simulate.add_record_noise(sim.record, snr_db, seed=noise_seed))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """synthesize a record + ground-truth sidecar"""
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
-    n_windows = int(cfg.get("windows", 200))
+    n_windows = cfg.get("windows", 200)
     config, dt = _pipeline_config(cfg, n_windows=n_windows)
-    window, hop = config.plan.window_length, config.plan.hop
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     with _config_guard():  # nothing is synthesized or written for a bad setting
         record_format(out, cfg.get("format"))
         if "snr_db" in cfg:
@@ -240,47 +231,45 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cfg.get("track", "random-walk"),
             n_windows,
             seed=seed,
-            az0=float(cfg.get("az", 120.0)),
-            el0=float(cfg.get("el", 45.0)),
+            az0=cfg.get("az", 120.0),
+            el0=cfg.get("el", 45.0),
             az1=cfg.get("az_end"),
             el1=cfg.get("el_end"),
-            window_length=window,
-            hop=hop,
+            window_length=config.plan.window_length,
+            hop=config.plan.hop,
         )
         if any(k in cfg for k in ("augment_noise_sigma", "augment_scale", "augment_flip")):
             track = simulate.augment_track(
                 track,
                 AugmentSpec(
-                    noise_sigma=float(cfg.get("augment_noise_sigma", 0.0)),
-                    scale_factor=float(cfg.get("augment_scale", 1.0)),
+                    noise_sigma=cfg.get("augment_noise_sigma", 0.0),
+                    scale_factor=cfg.get("augment_scale", 1.0),
                     flip=bool(cfg.get("augment_flip", 0)),
                     seed=seed,
                 ),
             )
-    needed = (n_windows - 1) * hop + window
-    ref = _reference_waveform(needed, dt, seed)
-    sim = simulate.synthesize_record(ref, track, config.geometry, window, hop, dt=dt)
-    record = sim.record
-    if "snr_db" in cfg:
-        record = simulate.add_record_noise(record, float(cfg["snr_db"]), seed=seed)
+    sim = _synthesize(track, config, dt, seed, seed, cfg.get("snr_db"))
     try:
-        save_record(record, out, cfg.get("format"))
+        save_record(sim.record, out, cfg.get("format"))
         simulate.save_truth(sim, out.with_suffix(out.suffix + ".truth.csv"))
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
-    print(f"wrote {out} ({record.length} samples) and ground-truth sidecar")
+    print(f"wrote {out} ({sim.record.length} samples) and ground-truth sidecar")
     return EXIT_OK
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    """map a record to per-window directions"""
     cfg = merge_config(args)
     inp = Path(_require(cfg, "input"))
     out = Path(_require(cfg, "output"))
     if not inp.exists():
         raise CliError(f"input not found: {inp}", EXIT_INPUT)
     config, _ = _pipeline_config(cfg)
+    with _config_guard():
+        fmt = record_format(inp, cfg.get("format"))
     try:
-        record = load_record(inp, cfg.get("format"))
+        record = load_record(inp, fmt)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load {inp}: {exc}", EXIT_INPUT) from exc
     if record.length < config.plan.window_length:
@@ -311,34 +300,30 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """run the benchmark grid on simulated records"""
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
     grid = BenchmarkGrid()
-    n_records = int(getattr(args, "records", 2))
-    n_windows = int(getattr(args, "record_windows", 120))
+    n_records = cfg.get("records", 2)
+    n_windows = cfg.get("record_windows", 120)
     base, dt = _pipeline_config(cfg, default_hop=16, grid=grid, n_windows=n_windows, n_records=n_records)
-    window, hop = base.plan.window_length, base.plan.hop
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs
-    snr_db = float(cfg.get("snr_db", 20.0))
+    snr_db = cfg.get("snr_db", 20.0)
     with _config_guard():
         simulate.snr_power_ratio(snr_db)
     datasets = []
     for ri in range(n_records):
-        # record 0 replicates `simulate` with the same seed/window/hop/snr,
-        # so a bench cell can be cross-checked against a mapped record
+        # record 0 is the record `simulate` writes with the same seed,
+        # window, hop and snr, so a bench cell can be cross-checked
+        # against a mapped record
         track = simulate.make_track(
             "random-walk", n_windows, seed=seed + 101 * ri,
             az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
-            window_length=window, hop=hop,
+            window_length=base.plan.window_length, hop=base.plan.hop,
         )
-        needed = (n_windows - 1) * hop + window
-        ref = _reference_waveform(needed, dt, seed + 7 * ri)
-        sim = simulate.synthesize_record(ref, track, base.geometry, window, hop, dt=dt)
-        record = simulate.add_record_noise(sim.record, snr_db, seed=seed + ri)
-        sim = simulate.SimulatedRecord(record, sim.truth, sim.tau1_s, sim.tau2_s)
-        datasets.append(sim)
+        datasets.append(_synthesize(track, base, dt, seed + 7 * ri, seed + ri, snr_db))
     report = evaluate.run_benchmark(grid, datasets, base)
     try:
         evaluate.emit_report_csv(report, out, _config_comments(cfg))
@@ -408,6 +393,7 @@ def render_map_svg(estimates, path: Path, title: str = "") -> Path:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    """render a map CSV as an SVG scatter"""
     cfg = merge_config(args)
     inp = Path(_require(cfg, "input"))
     out = Path(_require(cfg, "output"))

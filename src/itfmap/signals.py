@@ -255,7 +255,13 @@ def _load_raw(path: Path) -> SampleRecord:
 
 
 def _save_raw(record: SampleRecord, path: Path) -> Path:
+    """Raw binary; a finite sample too large for f32 raises ValueError and
+    nothing is written (NaN and inf samples are written as themselves)."""
     header = _HEADER.pack(MAGIC, record.length, record.sample_interval)
-    body = record.channels.astype("<f4").tobytes()
-    path.write_bytes(header + body)
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        body = record.channels.astype("<f4")
+    big = record.channels[np.isinf(body) & np.isfinite(record.channels)]
+    if big.size:
+        raise ValueError(f"{path}: sample {big[0]:g} does not fit the f32 samples of raw binary")
+    path.write_bytes(header + body.tobytes())
     return path

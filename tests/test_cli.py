@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itfmap import evaluate, pipeline, simulate
-from itfmap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROCESS, main
+from itfmap.cli import COMMANDS, EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROCESS, SETTINGS, build_parser, main
 from itfmap.signals import SampleRecord, load_record, save_record
 
 
@@ -43,6 +43,15 @@ class TestSimulateCommand:
 
     def test_missing_output_is_config_error(self):
         assert run("simulate", "--windows", "10") == EXIT_CONFIG
+
+    def test_sample_beyond_f32_in_raw_binary_is_process_error(self, tmp_path, capsys):
+        # noise at -3000 dB is ~1e150 per sample: a CSV holds it, f32 cannot
+        assert run("simulate", "--output", str(tmp_path / "big.bin"), "--windows", "4",
+                   "--window", "16", "--snr-db=-3000") == EXIT_PROCESS
+        assert "does not fit the f32 samples" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run("simulate", "--output", str(tmp_path / "big.csv"), "--windows", "4",
+                   "--window", "16", "--snr-db=-3000") == EXIT_OK
 
 
 class TestMapCommand:
@@ -108,7 +117,9 @@ class TestMapCommand:
     def test_window_too_short_for_ccwd_is_config_error(self, tmp_path, capsys, argv):
         rec = self.make_record(tmp_path, windows=10, window=64)
         out = tmp_path / "o.csv"
-        assert run(*argv, "--input", str(rec), "--output", str(out)) == EXIT_CONFIG
+        if argv[0] == "map":
+            argv = [*argv, "--input", str(rec)]
+        assert run(*argv, "--output", str(out)) == EXIT_CONFIG
         assert "ccwd needs a window of at least 4" in capsys.readouterr().err
         assert not out.exists()
 
@@ -118,6 +129,17 @@ class TestMapCommand:
         assert run("map", "--input", str(rec), "--output", str(out),
                    "--cc", "ccwd", "--window", "4", "--hop", "8") == EXIT_OK
         assert out.exists()
+
+    def test_format_flag(self, tmp_path):
+        rec = self.make_record(tmp_path, windows=10, window=64)
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out), "--window", "64",
+                   "--format", "raw-binary") == EXIT_INPUT
+        assert run("map", "--input", str(rec), "--output", str(out), "--window", "64",
+                   "--format", "xml") == EXIT_CONFIG
+        assert not out.exists()
+        assert run("map", "--input", str(rec), "--output", str(out), "--window", "64",
+                   "--format", "csv") == EXIT_OK
 
     def test_bad_filter_is_config_error(self, tmp_path):
         rec = self.make_record(tmp_path, windows=10, window=64)
@@ -255,6 +277,45 @@ class TestConfigFile:
                    "--output", str(tmp_path / "r.csv")) == EXIT_INPUT
 
 
+# the settings each command takes besides --config
+TAKES = {
+    "simulate": {"output", "format", "window", "hop", "baseline_m", "c", "dt_ns", "seed", "snr_db",
+                 "track", "windows", "az", "el", "az_end", "el_end",
+                 "augment_noise_sigma", "augment_scale", "augment_flip"},
+    "map": {"input", "output", "format", "filter", "cc", "interp", "window", "hop", "baseline_m", "c",
+            "el_series"},
+    "bench": {"output", "window", "hop", "baseline_m", "c", "dt_ns", "seed", "snr_db", "markdown",
+              "records", "record_windows"},
+    "plot": {"input", "output"},
+}
+UNREAD = [(command, key) for command in COMMANDS for key in SETTINGS if key not in TAKES[command]]
+
+
+class TestSettingsTable:
+    def test_each_command_takes_its_table_keys(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(TAKES)
+        for command, sp in subparsers.items():
+            dests = {a.dest for a in sp._actions if a.option_strings} - {"help"}
+            assert dests == TAKES[command] | {"config"}, command
+            assert {k for k, (_, commands, _) in SETTINGS.items() if command in commands} == TAKES[command]
+        assert [len(TAKES[c]) for c in ("simulate", "map", "bench", "plot")] == [18, 11, 11, 2]
+
+    @pytest.mark.parametrize("command, key", UNREAD)
+    def test_setting_a_command_does_not_read_is_rejected(self, tmp_path, capsys, command, key):
+        argv = [command, "--output", str(tmp_path / "o.csv")]
+        if "input" in TAKES[command]:
+            argv += ["--input", str(tmp_path / "in.csv")]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--" + key.replace("_", "-"), "1")
+        assert exc.value.code == 2
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"{key} = 1\n")
+        assert run(*argv, "--config", str(cfgf)) == EXIT_CONFIG
+        assert f"{command} does not take config key {key!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgf]
+
+
 class TestBenchCommand:
     def test_pipeline_composition(self, tmp_path):
         # simulate -> map -> score against the sidecar equals the matching
@@ -262,12 +323,13 @@ class TestBenchCommand:
         rec = tmp_path / "rec.csv"
         mp = tmp_path / "map.csv"
         rpt = tmp_path / "report.csv"
-        common = ["--window", "128", "--hop", "16", "--seed", "31", "--snr-db", "20"]
-        assert run("simulate", "--output", str(rec), "--windows", "50", *common) == EXIT_OK
+        plan = ["--window", "128", "--hop", "16"]
+        synthesis = [*plan, "--seed", "31", "--snr-db", "20"]
+        assert run("simulate", "--output", str(rec), "--windows", "50", *synthesis) == EXIT_OK
         assert run("map", "--input", str(rec), "--output", str(mp),
-                   "--filter", "bpf", "--cc", "cctd", "--interp", "cubic:8", *common) == EXIT_OK
+                   "--filter", "bpf", "--cc", "cctd", "--interp", "cubic:8", *plan) == EXIT_OK
         assert run("bench", "--output", str(rpt), "--records", "1",
-                   "--record-windows", "50", *common) == EXIT_OK
+                   "--record-windows", "50", *synthesis) == EXIT_OK
 
         truth = simulate.load_truth(tmp_path / "rec.csv.truth.csv", window_length=128, hop=16)
         rows = pipeline.read_map_csv(mp)
@@ -287,6 +349,34 @@ class TestBenchCommand:
             if (c.filter_id, c.method, c.interp_method, c.factor) == ("bpf", "cctd", "cubic", 8)
         )
         assert cell.mean_dist_deg == pytest.approx(direct, abs=5e-7)
+
+    def test_record_zero_is_the_simulate_record(self, tmp_path, monkeypatch):
+        caught = []
+
+        def catch(grid, datasets, base):
+            caught.extend(datasets)
+            return evaluate.ErrorReport(grid=grid)
+
+        monkeypatch.setattr(evaluate, "run_benchmark", catch)
+        synthesis = ["--window", "64", "--hop", "16", "--seed", "5", "--snr-db", "12"]
+        assert run("bench", "--output", str(tmp_path / "r.csv"), "--records", "2",
+                   "--record-windows", "20", *synthesis) == EXIT_OK
+        assert run("simulate", "--output", str(tmp_path / "rec.csv"), "--windows", "20", *synthesis) == EXIT_OK
+        rec = load_record(tmp_path / "rec.csv")
+        assert np.array_equal(caught[0].record.channels, rec.channels)
+        assert caught[0].record.sample_interval == rec.sample_interval
+        truth = simulate.load_truth(tmp_path / "rec.csv.truth.csv", window_length=64, hop=16)
+        assert np.array_equal(caught[0].truth.az_deg, truth.az_deg)
+        assert not np.array_equal(caught[1].record.channels, rec.channels)
+
+    def test_header_carries_record_counts(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("records = 1\n")
+        out = tmp_path / "r.csv"
+        assert run("bench", "--config", str(cfgf), "--output", str(out), "--window", "64",
+                   "--hop", "16", "--record-windows", "2") == EXIT_OK
+        header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert "# records = 1" in header and "# record_windows = 2" in header
 
     @pytest.fixture
     def synthesized(self, monkeypatch):

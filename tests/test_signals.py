@@ -107,6 +107,22 @@ class TestRawBinaryFormat:
             back.channels, rec.channels.astype("<f4").astype(np.float64)
         )
 
+    def test_finite_sample_beyond_f32_rejected_before_writing(self, tmp_path):
+        p = tmp_path / "big.bin"
+        for big in (1e39, -1e39, 1e300):
+            rec = make_record(64)
+            rec.channels[1, 5] = big
+            with pytest.raises(ValueError, match="does not fit"):
+                save_record(rec, p)
+            assert not p.exists()
+
+    def test_non_finite_and_f32_max_samples_saved_as_themselves(self, tmp_path):
+        rec = make_record(64)
+        specials = [np.nan, np.inf, -np.inf, float(np.finfo(np.float32).max)]
+        rec.channels[0, :4] = specials
+        back = load_record(save_record(rec, tmp_path / "a.bin"))
+        np.testing.assert_array_equal(back.channels[0, :4], specials)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOPE" + bytes(12))
