@@ -147,12 +147,13 @@ def _config_guard():
 
 def _pipeline_config(
     cfg: dict, default_hop: int = signals.DEFAULT_HOP, grid: BenchmarkGrid | None = None,
-    n_windows: int = 1, n_records: int = 1,
+    n_windows: int = 1, n_records: int = 1, synthesis: bool = False,
 ) -> tuple[pipeline.PipelineConfig, float]:
     """The run configuration and the sample interval (s) from the merged
     settings; any bad value exits 3, as does a window or record count below
-    1, or a sample interval or record of `n_windows` windows that a filter or
-    correlation method of `grid`, when the run sweeps one, cannot take."""
+    1, a sample interval or record of `n_windows` windows that a filter or
+    correlation method of `grid`, when the run sweeps one, cannot take, or in
+    `synthesis` a baseline transit above `simulate.MAX_DELAY_SAMPLES`."""
     with _config_guard():
         if n_windows < 1:
             raise ValueError(f"window count must be at least 1, got {n_windows}")
@@ -167,6 +168,9 @@ def _pipeline_config(
         geom = ArrayGeometry(
             d=cfg.get("baseline_m", geometry.DEFAULT_BASELINE_M), c=cfg.get("c", geometry.SPEED_OF_LIGHT)
         )
+        if synthesis and not geom.transit_time / dt <= simulate.MAX_DELAY_SAMPLES:
+            raise ValueError(f"baseline transit of {geom.transit_time / dt:.3g} samples; synthesis "
+                             f"pads a window by at most {simulate.MAX_DELAY_SAMPLES}")
         config = pipeline.PipelineConfig(
             filter_spec=parse_filter_spec(cfg.get("filter", "none")),
             cc_method=cfg.get("cc", "cctd"),
@@ -221,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
     n_windows = cfg.get("windows", 200)
-    config, dt = _pipeline_config(cfg, n_windows=n_windows)
+    config, dt = _pipeline_config(cfg, n_windows=n_windows, synthesis=True)
     seed = cfg.get("seed", 0)
     with _config_guard():  # nothing is synthesized or written for a bad setting
         record_format(out, cfg.get("format"))
@@ -291,7 +295,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             pipeline.write_elevation_series_csv(result, Path(cfg["el_series"]), comments)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
-    n_valid = sum(1 for e in result.estimates if e.valid)
+    n_valid = int(np.count_nonzero(result.valid))
     print(
         f"wrote {out}: {result.total_windows} windows, {n_valid} valid, "
         f"{len(result.degenerate_windows)} degenerate"
@@ -306,7 +310,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     grid = BenchmarkGrid()
     n_records = cfg.get("records", 2)
     n_windows = cfg.get("record_windows", 120)
-    base, dt = _pipeline_config(cfg, default_hop=16, grid=grid, n_windows=n_windows, n_records=n_records)
+    base, dt = _pipeline_config(cfg, default_hop=16, grid=grid, n_windows=n_windows, n_records=n_records, synthesis=True)
     seed = cfg.get("seed", 0)
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs

@@ -139,8 +139,9 @@ def run_benchmark(
     Per dataset and filter the denoised record is computed once, and its
     windows are normalized once per block for every correlation method; per
     method the eight interpolation variants share the correlation peaks,
-    refined together in one batch.  Every cell value equals a full
-    independent pipeline run (purity makes the caching invisible).
+    refined together, and one geometry solve per distinct lag pair.  Every
+    cell value equals a full independent pipeline run (purity makes the
+    caching invisible).
     Distances are averaged per record first, then across records.
     """
     if not datasets:
@@ -168,10 +169,10 @@ def run_benchmark(
             for method, wp in peaks.items():
                 config = replace(base, filter_spec=spec, cc_method=method)
                 scores = {}
-                for interp, lags in zip(specs, xcorr.refine_peaks(wp.peaks, specs)):
+                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), config, dt)
+                for interp, result in zip(specs, results):
                     try:
-                        track = solve_directions(wp, lags, config, dt).track()
-                        scores[interp] = map_error_stats(track, ds.truth)
+                        scores[interp] = map_error_stats(result.track(), ds.truth)
                     except ValueError:
                         # every window gate-failed for this record: the
                         # cell still reports, with the record unscored

@@ -65,9 +65,15 @@ class PipelineConfig:
 
 @dataclass
 class MapResult:
-    """Direction estimates plus the per-window bookkeeping the scorer needs."""
+    """Directions of the correlated windows, in window order, plus the
+    per-window bookkeeping the scorer needs.  A gate-failed window is not
+    `valid` and has NaN angles."""
 
-    estimates: list[DirectionEstimate]
+    window_index: np.ndarray
+    az_deg: np.ndarray
+    el_deg: np.ndarray
+    valid: np.ndarray
+    peak_coefficient: np.ndarray
     degenerate_windows: list[int]
     total_windows: int
     sample_interval: float
@@ -79,14 +85,9 @@ class MapResult:
         windows are marked invalid (angles present as zeros, claims carried
         by the mask)."""
         n = self.total_windows
-        az = np.zeros(n)
-        el = np.zeros(n)
-        valid = np.zeros(n, dtype=bool)
-        for est in self.estimates:
-            if est.valid:
-                az[est.window_index] = est.az_deg
-                el[est.window_index] = est.el_deg
-                valid[est.window_index] = True
+        az, el, valid = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+        rows = self.window_index[self.valid]
+        az[rows], el[rows], valid[rows] = self.az_deg[self.valid], self.el_deg[self.valid], True
         return AngleTrack(az, el, window_length=self.window_length, hop=self.hop, valid=valid)
 
 
@@ -168,23 +169,28 @@ def window_peaks(
     }
 
 
-def solve_directions(wp: WindowPeaks, lags: np.ndarray, config: PipelineConfig, dt: float) -> MapResult:
-    """Directions of the correlated windows, from `lags`: the refined peak
-    lags in the row order of `wp.peaks`."""
-    estimates: list[DirectionEstimate] = []
-    coeffs = wp.peaks.coefficient.reshape(-1, 2).tolist()
-    for idx, (lag_bc, lag_bd), (peak_bc, peak_bd) in zip(wp.index, lags.reshape(-1, 2).tolist(), coeffs):
-        estimates.append(direction_from_tdoa(
-            lag_bc * dt, lag_bd * dt, config.geometry, window_index=idx, peak_coefficient=min(peak_bc, peak_bd)
-        ))
-    return MapResult(estimates, wp.degenerate, wp.total_windows, dt, config.plan.hop, config.plan.window_length)
+def solve_directions(wp: WindowPeaks, lags: Sequence[np.ndarray], config: PipelineConfig, dt: float) -> list[MapResult]:
+    """Directions of the correlated windows, one result per array in `lags`:
+    refined peak lags in the row order of `wp.peaks`.  `direction_from_tdoa`
+    runs once per distinct (BC, BD) lag pair over all of them."""
+    pairs, inverse = np.unique(np.reshape(lags, (-1, 2)), axis=0, return_inverse=True)
+    solved = [direction_from_tdoa(bc * dt, bd * dt, config.geometry) for bc, bd in pairs.tolist()]
+    valid = np.array([e.valid for e in solved], dtype=bool)
+    angles = np.array([(e.az_deg, e.el_deg) if e.valid else (np.nan, np.nan) for e in solved]).reshape(-1, 2)
+    peak_bc, peak_bd = wp.peaks.coefficient.reshape(-1, 2).T
+    peak = np.where(peak_bd < peak_bc, peak_bd, peak_bc)  # min(peak_bc, peak_bd), ties to BC
+    index = np.array(wp.index, dtype=np.int64)
+    return [
+        MapResult(index, *angles[rows].T, valid[rows], peak, wp.degenerate, wp.total_windows, dt,
+                  config.plan.hop, config.plan.window_length)
+        for rows in inverse.reshape(len(lags), -1)
+    ]
 
 
 def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:
     """Run the full chain on one record."""
     wp = window_peaks(denoise_record(record, config.filter_spec), config)[config.cc_method]
-    (lags,) = xcorr.refine_peaks(wp.peaks, [config.interp])
-    return solve_directions(wp, lags, config, record.sample_interval)
+    return solve_directions(wp, xcorr.refine_peaks(wp.peaks, [config.interp]), config, record.sample_interval)[0]
 
 
 # ----------------------------------------------------------------------
@@ -203,39 +209,25 @@ def write_map_csv(result: MapResult, path: str | Path, header_comments: list[str
     path = Path(path)
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append(MAP_CSV_HEADER)
-    dt = result.sample_interval
-    for est in result.estimates:
-        t = float(est.window_index * result.hop * dt)
-        if est.valid:
-            az, el = f"{float(est.az_deg)!r}", f"{float(est.el_deg)!r}"
-        else:
-            az, el = "", ""
-        lines.append(
-            f"{est.window_index},{t!r},{az},{el},{float(est.peak_coefficient)!r},{int(est.valid)}"
-        )
+    columns = (result.window_index, result.az_deg, result.el_deg, result.peak_coefficient, result.valid)
+    for i, az, el, peak, valid in zip(*(c.tolist() for c in columns)):
+        t = float(i * result.hop * result.sample_interval)
+        angles = f"{az!r},{el!r}" if valid else ","
+        lines.append(f"{i},{t!r},{angles},{peak!r},{int(valid)}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def read_map_csv(path: str | Path) -> list[DirectionEstimate]:
-    path = Path(path)
     out: list[DirectionEstimate] = []
-    for line in path.read_text().splitlines():
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("window_index"):
             continue
         idx, _t, az, el, peak, valid = line.split(",")
-        is_valid = valid == "1"
-        out.append(
-            DirectionEstimate(
-                window_index=int(idx),
-                az_deg=float(az) if is_valid else None,
-                el_deg=float(el) if is_valid else None,
-                valid=is_valid,
-                gate_value=float("nan"),
-                peak_coefficient=float(peak),
-            )
-        )
+        ok = valid == "1"
+        angles = (float(az), float(el)) if ok else (None, None)
+        out.append(DirectionEstimate(int(idx), *angles, valid=ok, gate_value=float("nan"), peak_coefficient=float(peak)))
     return out
 
 
@@ -244,10 +236,7 @@ def write_elevation_series_csv(result: MapResult, path: str | Path, header_comme
     path = Path(path)
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append("window_index,time_s,elevation_deg")
-    dt = result.sample_interval
-    for est in result.estimates:
-        if est.valid:
-            t = float(est.window_index * result.hop * dt)
-            lines.append(f"{est.window_index},{t!r},{float(est.el_deg)!r}")
+    for i, el in zip(result.window_index[result.valid].tolist(), result.el_deg[result.valid].tolist()):
+        lines.append(f"{i},{float(i * result.hop * result.sample_interval)!r},{el!r}")
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -18,6 +18,7 @@ from itfmap.geometry import ArrayGeometry, tdoa_from_direction
 from itfmap.signals import SampleRecord
 
 TRACK_KINDS = ("constant", "linear-sweep", "random-walk")
+MAX_DELAY_SAMPLES = 2**16  # largest baseline transit (samples) the command line synthesizes
 
 
 @dataclass(frozen=True)

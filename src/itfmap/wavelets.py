@@ -171,13 +171,20 @@ def level_filters(basis: WaveletBasis, levels: int) -> list[np.ndarray]:
 
 
 def modwt_levels(x: np.ndarray, filters: list[np.ndarray], approximation: bool = True) -> list[np.ndarray]:
-    """`modwt` of a float64 `x` on prebuilt `level_filters`, unchecked; the
-    last approximation is computed and returned only with `approximation`."""
-    out, v = [], x
+    """`modwt` along the last axis of a float64 block `x` on prebuilt `level_filters`,
+    unchecked; the last approximation is computed and returned only with `approximation`."""
+    n, out, v = x.shape[-1], [], x
+
+    def causal(s, f):  # s[..., t] -> sum_i f[i] s[..., t - i], taps added in index order
+        y = np.zeros_like(s)
+        for i in np.flatnonzero(f[:n]):  # taps at or past the length add nothing
+            y[..., i:] += f[i] * s[..., : n - i]
+        return y
+
     for j, (hj, gj) in enumerate(filters, start=1):
-        out.append(np.convolve(v, gj)[: len(x)])
+        out.append(causal(v, gj))
         if approximation or j < len(filters):
-            v = np.convolve(v, hj)[: len(x)]
+            v = causal(v, hj)
     return out + [v] if approximation else out
 
 

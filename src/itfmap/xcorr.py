@@ -87,10 +87,6 @@ def _validated(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x, y])[:, None]
 
 
-def _lag_axis(n: int) -> np.ndarray:
-    return np.arange(-(n - 1), n)
-
-
 def cc_time(x: np.ndarray, y: np.ndarray) -> CorrelationSeries:
     """Direct sliding-dot-product correlation, normalized by ||x|| ||y||."""
     return correlate(x, y, "cctd")
@@ -125,31 +121,27 @@ def band_levels(dt: float) -> list[int]:
     return selected
 
 
-def _cross_wavelet(block: np.ndarray, selected: list[int]) -> np.ndarray:
-    """The ccwd rows of `correlate_block`, averaging the `selected` levels
-    (see `cc_wavelet`)."""
+def _wavelet_spectrum(block: np.ndarray, selected: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ccwd cross spectrum and denominator of `correlate_block`: sums over
+    the `selected` levels of their `m`-point cross spectra and their weights
+    (see `cc_wavelet`), leaving out a level where either segment has no
+    energy.  No step calls BLAS, whose summation order depends on the CPU."""
     n = block.shape[-1]
     if n < 2**DEFAULT_CCWD_LEVELS:
         raise ValueError(f"signal of {n} samples too short for {DEFAULT_CCWD_LEVELS} levels")
-
-    def in_band(segment):  # deeper levels and the last approximation go unused
-        details = wavelets.modwt_levels(segment, _CCWD_FILTERS[: max(selected)], approximation=False)
-        return [(details[j - 1], float(np.dot(details[j - 1], details[j - 1]))) for j in selected]
-
-    out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
-    for k in range(block.shape[1]):
-        bx = in_band(block[0, k])
-        for p in range(1, len(block)):
-            acc, wsum = np.zeros(2 * n - 1), 0.0
-            for (dx, ex), (dy, ey) in zip(bx, in_band(block[p, k])):
-                if ex != 0.0 and ey != 0.0:
-                    weight = np.sqrt(ex * ey)
-                    acc += weight * (correlate_full(dx, dy) / np.sqrt(ex * ey))
-                    wsum += weight
-            if wsum == 0.0:
-                raise DegenerateWindowError("no detail energy in the selected levels")
-            out[k, p - 1] = acc / wsum
-    return out
+    # deeper levels and the last approximation go unused
+    details = wavelets.modwt_levels(block, _CCWD_FILTERS[: max(selected)], approximation=False)
+    cross, wsum = 0.0, 0.0
+    for j in selected:
+        d = details[j - 1]
+        energy = np.einsum("...w,...w->...", d, d)  # (1 + P, K)
+        used = (energy[0] != 0.0) & (energy[1:] != 0.0)
+        spectra = np.fft.rfft(d, m)
+        cross = cross + np.where(used[..., None], np.conj(spectra[0]) * spectra[1:], 0.0)
+        wsum = wsum + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
+    if not np.all(wsum):
+        raise DegenerateWindowError("no detail energy in the selected levels")
+    return cross, wsum
 
 
 def _argmax_nearest_zero(curves: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -251,7 +243,7 @@ def refine_peak(series: CorrelationSeries, interp: InterpSpec) -> float:
 def correlate(x: np.ndarray, y: np.ndarray, method: str, dt: float = 4e-9) -> CorrelationSeries:
     """Method-string dispatch (``cctd`` | ``ccfd`` | ``ccwd``) on one pair:
     a one-window `correlate_block`."""
-    return CorrelationSeries(_lag_axis(len(x)), correlate_block(_validated(x, y), method, dt)[0, 0])
+    return CorrelationSeries(np.arange(1 - len(x), len(x)), correlate_block(_validated(x, y), method, dt)[0, 0])
 
 
 def correlate_block(block: np.ndarray, method: str, dt: float = 4e-9) -> np.ndarray:
@@ -264,21 +256,27 @@ def correlate_block(block: np.ndarray, method: str, dt: float = 4e-9) -> np.ndar
     its spectrum (ccfd) or detail levels (ccwd), are computed once however
     many pairs it is in.
     """
-    if method == "ccwd":
-        return _cross_wavelet(block, band_levels(dt))
     if method not in CC_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
-    norms = np.array([[np.linalg.norm(s) for s in channel] for channel in block])  # one per segment
-    denom = norms[0] * norms[1:]  # (P, K): ||B|| ||other|| of every pair
-    if not denom.all():
-        raise DegenerateWindowError("zero-variance segment has no correlation")
-    if method == "cctd":
-        b = block[0]
-        out = np.array([[correlate_full(b[k], y[k]) for y in block[1:]] for k in range(len(b))])
-        return out / denom.T[:, :, None]
     n = block.shape[-1]
-    m = 1 << int(np.ceil(np.log2(2 * n - 1)))
-    spectra = np.fft.rfft(block, m)
-    c = np.fft.irfft(np.conj(spectra[0]) * spectra[1:], m)
+    m = 1 << int(np.ceil(np.log2(2 * n - 1)))  # holds every lag
+    if method == "ccwd":
+        cross, denom = _wavelet_spectrum(block, band_levels(dt), m)
+    else:
+        # vecdot calls BLAS, so a norm may round differently on another CPU
+        # (ccwd avoids it); on rows made contiguous it matches `np.linalg.norm`,
+        # which ravels to a contiguous copy before its dot product, to the bit
+        rows = np.ascontiguousarray(block)
+        norms = np.sqrt(np.vecdot(rows, rows))  # one per segment
+        denom = norms[0] * norms[1:]  # (P, K): ||B|| ||other|| of every pair
+        if not denom.all():
+            raise DegenerateWindowError("zero-variance segment has no correlation")
+        if method == "cctd":
+            b = block[0]
+            out = np.array([[correlate_full(b[k], y[k]) for y in block[1:]] for k in range(len(b))])
+            return out / denom.T[:, :, None]
+        spectra = np.fft.rfft(block, m)
+        cross = np.conj(spectra[0]) * spectra[1:]
+    c = np.fft.irfft(cross, m)
     coeff = np.concatenate([c[..., m - (n - 1):], c[..., :n]], axis=-1) / denom[..., None]
     return coeff.transpose(1, 0, 2)

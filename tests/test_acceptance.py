@@ -234,7 +234,11 @@ def test_criterion_7_transit_gate_fuzz(tmp_path, criterion_reporter):
             assert not est.valid
             assert est.az_deg is None and est.el_deg is None
         estimates.append(est)
-    result = pipeline.MapResult(estimates, [], 5000, DT, 1, 256)
+    angles = np.array([(e.az_deg, e.el_deg) if e.valid else (np.nan, np.nan) for e in estimates])
+    result = pipeline.MapResult(
+        np.arange(5000), *angles.T, np.array([e.valid for e in estimates]),
+        np.array([e.peak_coefficient for e in estimates]), [], 5000, DT, 1, 256,
+    )
     csv_path = pipeline.write_map_csv(result, tmp_path / "fuzz.csv")
     text = csv_path.read_text().lower()
     ok = n_beyond > 1000 and "nan" not in text

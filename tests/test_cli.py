@@ -53,6 +53,25 @@ class TestSimulateCommand:
         assert run("simulate", "--output", str(tmp_path / "big.csv"), "--windows", "4",
                    "--window", "16", "--snr-db=-3000") == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("dt_ns", ["1e-9", "1e-37", "1e-6"])
+    def test_delay_beyond_the_synthesis_pad_is_config_error(self, tmp_path, monkeypatch, capsys, command, dt_ns):
+        def refuse(*args, **kwargs):  # at 1e-9 ns the pad alone would take 458 GiB
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(simulate, "synthesize_record", refuse)
+        out = tmp_path / "t.csv"
+        counts = ["--windows", "4"] if command == "simulate" else ["--records", "1", "--record-windows", "4"]
+        assert run(command, "--output", str(out), *counts, "--window", "16", "--dt-ns", dt_ns) == EXIT_CONFIG
+        assert "synthesis pads a window by at most 65536" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_delay_inside_the_synthesis_pad_synthesizes(self, tmp_path):
+        # 1 ps samples put the 15 m baseline's transit at 50,035 samples
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--output", str(out), "--windows", "4", "--window", "16", "--dt-ns", "1e-3") == EXIT_OK
+        assert load_record(out).length == 19
+
 
 class TestMapCommand:
     def make_record(self, tmp_path, windows=60, window=128, hop=4, seed=3):

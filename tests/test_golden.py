@@ -2,7 +2,8 @@
 correlation method and interpolation spec, a copy of the record with a NaN
 sample and a constant stretch mapped at hop 3 by every correlation method,
 and a seeded `bench` report stay byte-identical to the files committed under
-``tests/golden/``.
+``tests/golden/``.  The ccwd maps stay so under OpenBLAS kernels forced to
+other CPUs' (``OPENBLAS_CORETYPE``) as well.
 
 Regenerate the files only when an output is meant to change:
 
@@ -11,7 +12,10 @@ Regenerate the files only when an output is meant to change:
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +57,20 @@ def make_gaps_record(source: Path, dest: Path) -> None:
     save_record(SampleRecord(channels, record.sample_interval, record.label), dest)
 
 
+def map_runs() -> list[tuple[str, list[str]]]:
+    """(output, argv) of every golden map, run in the directory holding
+    `RECORD` and `GAPS`."""
+    runs = []
+    for cc in CC_METHODS:
+        for interp in INTERPS:
+            runs.append((map_name(cc, interp), ["map", "--input", RECORD, "--output", map_name(cc, interp),
+                                                "--cc", cc, "--interp", interp, "--window", "128", "--hop", "1"]))
+    for cc in CC_METHODS:
+        runs.append((f"map-gaps-{cc}.csv", ["map", "--input", GAPS, "--output", f"map-gaps-{cc}.csv", "--cc", cc,
+                                            *GAPS_MAP]))
+    return runs
+
+
 def produce(workdir: Path) -> None:
     """Write every golden output into `workdir`.  Paths given to the CLI are
     relative, so the header comments that echo them are the same anywhere."""
@@ -60,14 +78,8 @@ def produce(workdir: Path) -> None:
     os.chdir(workdir)
     try:
         assert main(["simulate", "--output", RECORD, *SIMULATE]) == EXIT_OK
-        for cc in CC_METHODS:
-            for interp in INTERPS:
-                argv = ["map", "--input", RECORD, "--output", map_name(cc, interp),
-                        "--cc", cc, "--interp", interp, "--window", "128", "--hop", "1"]
-                assert main(argv) == EXIT_OK
         make_gaps_record(Path(RECORD), Path(GAPS))
-        for cc in CC_METHODS:
-            argv = ["map", "--input", GAPS, "--output", f"map-gaps-{cc}.csv", "--cc", cc, *GAPS_MAP]
+        for _, argv in map_runs():
             assert main(argv) == EXIT_OK
         assert main(["bench", "--output", "bench.csv", *BENCH]) == EXIT_OK
     finally:
@@ -88,6 +100,74 @@ def test_golden_set_is_complete():
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_output_matches_golden(produced, name):
     assert (produced / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+# OpenBLAS picks its dot-product kernels per CPU, and OPENBLAS_CORETYPE forces
+# another CPU's.  ccwd makes no BLAS call, so its maps must not move; cctd and
+# ccfd still take their norms (and cctd its correlation) from BLAS, and their
+# maps do move in the last digits of peak_coeff: these are left out.
+FOREIGN_CORES = ("Haswell", "Prescott")
+CROSS_CORE_MAPS = [name for name, _ in map_runs() if "-ccwd" in name]
+NOT_YET_CROSS_CORE = [name for name, _ in map_runs() if name not in CROSS_CORE_MAPS]
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import core_name
+from itfmap.cli import main
+print(core_name())
+for argv in json.loads(sys.argv[2]):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+def core_name() -> str:
+    """The CPU whose kernels this process's OpenBLAS uses, or "" when it
+    cannot be read."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                getattr(lib, symbol).restype = ctypes.c_char_p
+                return getattr(lib, symbol)().decode()
+    return ""
+
+
+@pytest.fixture(scope="module")
+def foreign_maps(tmp_path_factory) -> dict:
+    """Per forced core type, the directory its child interpreter mapped the
+    golden records in."""
+    native, out, names = core_name(), {}, set()
+    if not native:
+        pytest.skip("cannot read this interpreter's OpenBLAS core name")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argvs = json.dumps([argv for name, argv in map_runs() if name in CROSS_CORE_MAPS])
+    for core in FOREIGN_CORES:
+        out[core] = tmp_path_factory.mktemp(core)
+        for name in (RECORD, GAPS):
+            shutil.copy(GOLDEN / name, out[core] / name)
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent), argvs], cwd=out[core],
+                              env={**env, "OPENBLAS_CORETYPE": core}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        names.add(proc.stdout.splitlines()[0])
+    if names == {native}:
+        pytest.skip(f"this interpreter's OpenBLAS ignores OPENBLAS_CORETYPE (always {native})")
+    return out
+
+
+def test_cross_core_set_is_the_ccwd_maps():
+    assert len(CROSS_CORE_MAPS) == 6 and len(NOT_YET_CROSS_CORE) == 12
+    assert all("-cctd" in n or "-ccfd" in n for n in NOT_YET_CROSS_CORE)
+
+
+@pytest.mark.parametrize("core", FOREIGN_CORES)
+@pytest.mark.parametrize("name", CROSS_CORE_MAPS)
+def test_ccwd_map_matches_golden_on_foreign_blas_cores(foreign_maps, core, name):
+    assert (foreign_maps[core] / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} under {core}"
 
 
 if __name__ == "__main__":

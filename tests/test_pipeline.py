@@ -7,8 +7,11 @@ import pytest
 
 from itfmap import evaluate, pipeline, simulate, xcorr
 from itfmap.denoise import parse_filter_spec
-from itfmap.geometry import ArrayGeometry
-from itfmap.pipeline import MapResult, PipelineConfig, correlate_window, map_record, read_map_csv, window_peaks, write_map_csv
+from itfmap.geometry import ArrayGeometry, direction_from_tdoa
+from itfmap.pipeline import (
+    MapResult, PipelineConfig, WindowPeaks, correlate_window, map_record, read_map_csv, solve_directions, window_peaks,
+    write_map_csv,
+)
 from itfmap.signals import SampleRecord, SegmentationPlan, normalize_window, segment
 from itfmap.simulate import make_track, synthesize_record
 from itfmap.xcorr import InterpSpec
@@ -49,7 +52,7 @@ class TestMapRecord:
         rec = SampleRecord(np.zeros((3, 400)), sample_interval=DT)
         cfg = PipelineConfig(plan=SegmentationPlan(64, 64))
         res = map_record(rec, cfg)
-        assert res.estimates == []
+        assert len(res.window_index) == 0
         assert len(res.degenerate_windows) == res.total_windows
 
     def test_filtered_pipeline_runs(self):
@@ -63,7 +66,7 @@ class TestMapRecord:
         )
         res = map_record(sim.record, cfg)
         assert res.total_windows == 60
-        assert len(res.estimates) == 60
+        assert len(res.window_index) == 60
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="correlation method"):
@@ -158,6 +161,43 @@ class TestWindowChunks:
         assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+class TestSolveDirections:
+    def test_equals_the_per_window_solve(self):
+        # lag pairs repeat across windows and specs; (0, 0) is the zenith
+        # and |lag| 40 lies beyond the 12.5-sample transit gate
+        rng = np.random.default_rng(21)
+        pairs = np.array([[0.0, 0.0], [3.0, -4.0], [40.0, 0.0], [-2.5, 7.125], [12.0, 9.0], [-40.0, -40.0]])
+        specs = [pairs[rng.integers(len(pairs), size=30)].ravel() for _ in range(3)]
+        assert {tuple(p) for p in np.reshape(specs, (-1, 2))} >= {(0.0, 0.0), (40.0, 0.0)}
+        index = sorted(rng.choice(50, size=30, replace=False).tolist())
+        coefficient = rng.uniform(0.2, 1.0, size=60)
+        coefficient[7] = coefficient[6]  # a tie between the window's BC and BD peaks
+        peaks = xcorr.PeakNeighborhoods(127, np.zeros(60, dtype=int), coefficient, np.zeros((60, 17)))
+        wp = WindowPeaks(index, [i for i in range(50) if i not in index], 50, peaks)
+        results = solve_directions(wp, specs, PipelineConfig(geometry=G), DT)
+        assert len(results) == 3
+        for lags, res in zip(specs, results):
+            np.testing.assert_array_equal(res.window_index, index)
+            assert res.degenerate_windows == wp.degenerate and res.total_windows == 50
+            for row, (i, (bc, bd), (peak_bc, peak_bd)) in enumerate(
+                zip(index, lags.reshape(-1, 2).tolist(), coefficient.reshape(-1, 2).tolist())
+            ):
+                est = direction_from_tdoa(bc * DT, bd * DT, G, window_index=i, peak_coefficient=min(peak_bc, peak_bd))
+                assert res.valid[row] == est.valid
+                assert res.peak_coefficient[row] == est.peak_coefficient
+                if est.valid:
+                    assert (res.az_deg[row], res.el_deg[row]) == (est.az_deg, est.el_deg)
+                else:
+                    assert np.isnan(res.az_deg[row]) and np.isnan(res.el_deg[row])
+
+    def test_no_correlated_window(self):
+        peaks = xcorr.peak_neighborhoods(np.empty((0, 15)))
+        wp = WindowPeaks([], [0, 1], 2, peaks)
+        (res,) = solve_directions(wp, [np.empty(0)], PipelineConfig(geometry=G), DT)
+        assert len(res.window_index) == len(res.az_deg) == 0
+        assert not res.track().valid.any()
+
+
 class TestMapCsv:
     def test_roundtrip(self, tmp_path):
         sim = fixture_sim(n_win=40)
@@ -167,20 +207,19 @@ class TestMapCsv:
         text = path.read_text()
         assert text.startswith("# cc = cctd\nwindow_index,")
         back = read_map_csv(path)
-        assert len(back) == len(res.estimates)
-        for orig, loaded in zip(res.estimates, back):
-            assert loaded.window_index == orig.window_index
-            assert loaded.valid == orig.valid
-            if orig.valid:
-                assert loaded.az_deg == pytest.approx(orig.az_deg, abs=0)
-                assert loaded.el_deg == pytest.approx(orig.el_deg, abs=0)
+        assert len(back) == len(res.window_index)
+        for i, loaded in enumerate(back):
+            assert loaded.window_index == res.window_index[i]
+            assert loaded.valid == res.valid[i]
+            if res.valid[i]:
+                assert loaded.az_deg == pytest.approx(res.az_deg[i], abs=0)
+                assert loaded.el_deg == pytest.approx(res.el_deg[i], abs=0)
 
     def test_invalid_rows_have_empty_angles_not_nan(self, tmp_path):
-        est = [
-            pipeline.DirectionEstimate(0, 10.0, 20.0, True, 0.9, 0.8),
-            pipeline.DirectionEstimate(1, None, None, False, 1.4, 0.2),
-        ]
-        res = MapResult(est, [], 2, DT, 1, 64)
+        res = MapResult(
+            np.array([0, 1]), np.array([10.0, np.nan]), np.array([20.0, np.nan]), np.array([True, False]),
+            np.array([0.8, 0.2]), [], 2, DT, 1, 64,
+        )
         text = write_map_csv(res, tmp_path / "m.csv").read_text()
         assert "nan" not in text.lower()
         row = text.splitlines()[-1]
@@ -193,4 +232,4 @@ class TestMapCsv:
         path = pipeline.write_elevation_series_csv(res, tmp_path / "el.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "window_index,time_s,elevation_deg"
-        assert len(lines) == 1 + sum(1 for e in res.estimates if e.valid)
+        assert len(lines) == 1 + np.count_nonzero(res.valid)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from itfmap import xcorr
+from itfmap import wavelets, xcorr
 from itfmap.xcorr import (
     CorrelationSeries,
     DegenerateWindowError,
@@ -175,6 +175,99 @@ class TestCorrelateBlock:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown correlation method"):
             xcorr.correlate_block(np.ones((3, 1, 8)), "ccxx")
+
+
+def modwt_reference(segment, levels):
+    """Detail levels 1 .. `levels` of one segment by `np.convolve`, as ccwd
+    computed them one window at a time."""
+    out, v = [], segment
+    for hj, gj in wavelets.level_filters(wavelets.get_basis("sym4"), levels):
+        out.append(np.convolve(v, gj)[: len(segment)])
+        v = np.convolve(v, hj)[: len(segment)]
+    return out
+
+
+def ccwd_reference(block, selected, levels=None):
+    """The per-window ccwd loop: per pair and level, `np.correlate` of the
+    details normalized by their energies, averaged with weights
+    sqrt(ex * ey); a level where either energy is 0 is left out.
+    `levels[j - 1][p, k]` replaces the details of segment (p, k) when given."""
+    n = block.shape[-1]
+
+    def details(p, k):
+        if levels is not None:
+            return [d[p, k] for d in levels]
+        return modwt_reference(block[p, k], max(selected))
+
+    out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
+    for k in range(block.shape[1]):
+        bx = details(0, k)
+        for p in range(1, len(block)):
+            by = details(p, k)
+            acc, wsum = np.zeros(2 * n - 1), 0.0
+            for dx, dy in ((bx[j - 1], by[j - 1]) for j in selected):
+                ex, ey = np.dot(dx, dx), np.dot(dy, dy)
+                if ex != 0.0 and ey != 0.0:
+                    weight = np.sqrt(ex * ey)
+                    acc += weight * (np.correlate(dy, dx, "full") / np.sqrt(ex * ey))
+                    wsum += weight
+            if wsum == 0.0:
+                raise DegenerateWindowError("no detail energy in the selected levels")
+            out[k, p - 1] = acc / wsum
+    return out
+
+
+class TestCrossWaveletBlock:
+    """The block ccwd kernel against the per-window loop it replaced.  The
+    coefficients lie in [-1, 1] and the kernel's FFT rounds them to about
+    1e-16 absolute, so the lags where they are near 0 need the `atol`."""
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 128])
+    @pytest.mark.parametrize("dt, selected", [(4e-9, [1, 2]), (6.25e-9, [1]), (2.5e-9, [2])])
+    def test_rows_match_the_per_window_loop(self, n, dt, selected):
+        # a 4-sample window is shorter than the 15-tap level-2 filter
+        assert xcorr.band_levels(dt) == selected
+        block = np.random.default_rng(n).normal(size=(3, 6, n))
+        np.testing.assert_allclose(
+            xcorr.correlate_block(block, "ccwd", dt), ccwd_reference(block, selected), rtol=1e-12, atol=1e-15
+        )
+
+    def test_a_level_without_energy_is_left_out(self, monkeypatch):
+        # the details are given, as small integers times powers of two, so
+        # every energy is exact in any summation order.  Window 0's D has no
+        # level-2 detail, so its BD pair uses level 1 alone.  Window 1's B
+        # has level-1 details whose squares underflow to an energy of 0 but
+        # whose correlations do not, so both its pairs use level 2 alone
+        rng = np.random.default_rng(18)
+        levels = [rng.integers(-3, 4, size=(3, 2, 32)).astype(float) for _ in range(2)]
+        levels[1][2, 0] = 0.0
+        levels[0][0, 1] *= 2.0**-540
+        levels[1][0, 1] *= 2.0**-520
+        assert np.einsum("w,w->", levels[0][0, 1], levels[0][0, 1]) == 0.0 and levels[0][0, 1].any()
+        monkeypatch.setattr(wavelets, "modwt_levels", lambda block, filters, approximation: levels)
+        block = np.empty((3, 2, 32))
+        got = xcorr.correlate_block(block, "ccwd", DT)
+        np.testing.assert_allclose(got, ccwd_reference(block, [1, 2], levels), rtol=1e-12, atol=1e-15)
+        window = [[d[:, k : k + 1] for d in levels] for k in range(2)]
+        np.testing.assert_allclose(got[0, 1], ccwd_reference(block[:, :1], [1], window[0])[0, 1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got[1], ccwd_reference(block[:, 1:], [2], window[1])[0], rtol=1e-12, atol=1e-15)
+
+    def test_a_window_without_energy_in_any_selected_level_is_degenerate(self):
+        block = np.random.default_rng(19).normal(size=(3, 4, 32))
+        block[1, 2] = 0.0
+        with pytest.raises(DegenerateWindowError, match="no detail energy"):
+            ccwd_reference(block, [1, 2])
+        with pytest.raises(DegenerateWindowError, match="no detail energy"):
+            xcorr.correlate_block(block, "ccwd")
+
+    def test_block_modwt_matches_convolution(self):
+        block = np.random.default_rng(20).normal(size=(3, 5, 16))
+        filters = wavelets.level_filters(wavelets.get_basis("sym4"), 3)
+        levels = wavelets.modwt_levels(block, filters, approximation=False)
+        for p in range(3):
+            for k in range(5):
+                for got, ref in zip(levels, modwt_reference(block[p, k], 3)):
+                    np.testing.assert_allclose(got[p, k], ref, rtol=0, atol=1e-15)
 
 
 class TestRefinePeak:
