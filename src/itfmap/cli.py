@@ -355,13 +355,18 @@ def _color(fraction: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_map_svg(estimates, path: Path, title: str = "") -> Path:
-    pts = [(e.window_index, e.az_deg, e.el_deg) for e in estimates if e.valid]
-    if not pts:
+# the characters a file name may hold that XML text must escape; not
+# `html.escape`, whose module loads a 2,000-entry table on every command
+_XML_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def render_map_svg(index: np.ndarray, az_deg: np.ndarray, el_deg: np.ndarray, path: Path, title: str = "") -> Path:
+    """Scatter of the windows `index` at (azimuth, elevation), colored by
+    window order."""
+    if not len(index):
         raise CliError("no valid windows to plot", EXIT_PROCESS)
     width, height, margin = 640, 480, 50
-    idx = [p[0] for p in pts]
-    lo, hi = min(idx), max(idx)
+    lo, hi = int(index.min()), int(index.max())
     span = max(hi - lo, 1)
 
     def sx(az):
@@ -373,7 +378,7 @@ def render_map_svg(estimates, path: Path, title: str = "") -> Path:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width/2:.0f}" y="20" text-anchor="middle" font-size="14">{title.translate(_XML_TEXT_ESCAPES)}</text>',
         f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" y2="{height-margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height-margin}" stroke="black"/>',
         f'<text x="{width/2:.0f}" y="{height-12}" text-anchor="middle" font-size="12">azimuth (deg)</text>',
@@ -387,7 +392,7 @@ def render_map_svg(estimates, path: Path, title: str = "") -> Path:
         parts.append(
             f'<text x="{margin-6}" y="{sy(el_tick):.1f}" text-anchor="end" font-size="10">{el_tick}</text>'
         )
-    for i, az, el in pts:
+    for i, az, el in zip(index.tolist(), az_deg.tolist(), el_deg.tolist()):
         parts.append(
             f'<circle cx="{sx(az):.2f}" cy="{sy(el):.2f}" r="3" fill="{_color((i-lo)/span)}" fill-opacity="0.8"/>'
         )
@@ -404,11 +409,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if not inp.exists():
         raise CliError(f"input not found: {inp}", EXIT_INPUT)
     try:
-        estimates = pipeline.read_map_csv(inp)
-    except (OSError, ValueError) as exc:
+        index, az, el, _peak, valid = pipeline.read_map_csv(inp)
+    except (OSError, ValueError, OverflowError) as exc:  # OverflowError: an index beyond int64
         raise CliError(f"cannot parse map CSV {inp}: {exc}", EXIT_INPUT) from exc
     try:
-        render_map_svg(estimates, out, title=inp.name)
+        render_map_svg(index[valid], az[valid], el[valid], out, title=inp.name)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
     print(f"wrote {out}")

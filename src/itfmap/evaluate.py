@@ -8,7 +8,8 @@ to (-180, 180] before squaring so the 0/360 seam does not inflate scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from itfmap.denoise import parse_filter_spec
 from itfmap.geometry import direction_from_tdoa  # noqa: F401
 from itfmap.pipeline import PipelineConfig, correlate_window, denoise_record, solve_directions, window_peaks  # noqa: F401
 from itfmap.signals import normalize_window, segment  # noqa: F401
+from itfmap.signals import read_table, write_table
 from itfmap.simulate import AngleTrack, SimulatedRecord
 from itfmap.xcorr import InterpSpec
 
@@ -167,9 +169,8 @@ def run_benchmark(
             spec = parse_filter_spec(filter_id)
             peaks = window_peaks(denoise_record(ds.record, spec), base, grid.methods)
             for method, wp in peaks.items():
-                config = replace(base, filter_spec=spec, cc_method=method)
                 scores = {}
-                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), config, dt)
+                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), base, dt)
                 for interp, result in zip(specs, results):
                     try:
                         scores[interp] = map_error_stats(result.track(), ds.truth)
@@ -205,17 +206,12 @@ def run_benchmark(
 REPORT_CSV_HEADER = "filter,method,interp,factor,mean_dist_deg,records,excluded_windows"
 
 
-def emit_report_csv(report: ErrorReport, path: str | Path, header_comments: list[str] | None = None) -> Path:
-    path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(REPORT_CSV_HEADER)
-    for c in report.cells:
-        lines.append(
-            f"{c.filter_id},{c.method},{c.interp_method},{c.factor},"
-            f"{c.mean_dist_deg:.6f},{c.records},{c.excluded_windows}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def emit_report_csv(report: ErrorReport, path: str | Path, header_comments: Sequence[str] = ()) -> Path:
+    rows = (
+        f"{c.filter_id},{c.method},{c.interp_method},{c.factor},{c.mean_dist_deg:.6f},{c.records},{c.excluded_windows}"
+        for c in report.cells
+    )
+    return write_table(path, REPORT_CSV_HEADER, rows, header_comments)
 
 
 def emit_report_markdown(report: ErrorReport, path: str | Path) -> Path:
@@ -243,22 +239,7 @@ def emit_report_markdown(report: ErrorReport, path: str | Path) -> Path:
 
 
 def load_report_csv(path: str | Path) -> list[CellResult]:
-    path = Path(path)
-    out = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("filter,"):
-            continue
-        f, m, im, fa, dist, recs, exc = line.split(",")
-        out.append(
-            CellResult(
-                filter_id=f,
-                method=m,
-                interp_method=im,
-                factor=int(fa),
-                mean_dist_deg=float(dist),
-                records=int(recs),
-                excluded_windows=int(exc),
-            )
-        )
-    return out
+    return [
+        CellResult(f, m, im, int(fa), float(dist), int(recs), int(exc))
+        for f, m, im, fa, dist, recs, exc in read_table(path, REPORT_CSV_HEADER)
+    ]

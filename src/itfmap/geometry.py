@@ -42,66 +42,33 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class DirectionEstimate:
-    """Azimuth/elevation for one window, with the transit-gate verdict.
+    """Azimuth/elevation of one TDOA pair, with the transit-gate verdict.
 
     Invalid estimates carry no angle claims: az_deg/el_deg are None when
     `valid` is False.  `gate_value` is (c/d) * sqrt(tau1^2 + tau2^2).
     """
 
-    window_index: int
     az_deg: float | None
     el_deg: float | None
     valid: bool
     gate_value: float
-    peak_coefficient: float = float("nan")
-    at_zenith: bool = False
 
 
-def direction_from_tdoa(
-    tau1: float,
-    tau2: float,
-    geom: ArrayGeometry,
-    window_index: int = 0,
-    peak_coefficient: float = float("nan"),
-) -> DirectionEstimate:
+def direction_from_tdoa(tau1: float, tau2: float, geom: ArrayGeometry) -> DirectionEstimate:
     """Invert the two baseline delays to a direction.
 
     tau1 is the BC-baseline delay, tau2 the BD-baseline delay (seconds).
     gate = (c/d) sqrt(tau1^2 + tau2^2); gate > 1 (beyond float slack) means
     the pair is unphysical and the estimate is returned invalid.  Otherwise
-    Az = atan2(tau1, tau2) in [0, 360) and El = arccos(gate).
+    Az = atan2(tau1, tau2) in [0, 360) and El = arccos(gate); the zenith
+    pair (0, 0) reads (0, 90).
     """
     gate = (geom.c / geom.d) * hypot(tau1, tau2)
     if gate > 1.0 + GATE_SLACK:
-        return DirectionEstimate(
-            window_index=window_index,
-            az_deg=None,
-            el_deg=None,
-            valid=False,
-            gate_value=gate,
-            peak_coefficient=peak_coefficient,
-        )
-    clamped = min(gate, 1.0)
+        return DirectionEstimate(None, None, False, gate)
     if tau1 == 0.0 and tau2 == 0.0:
-        return DirectionEstimate(
-            window_index=window_index,
-            az_deg=0.0,
-            el_deg=90.0,
-            valid=True,
-            gate_value=gate,
-            peak_coefficient=peak_coefficient,
-            at_zenith=True,
-        )
-    az = degrees(atan2(tau1, tau2)) % 360.0
-    el = degrees(acos(clamped))
-    return DirectionEstimate(
-        window_index=window_index,
-        az_deg=az,
-        el_deg=el,
-        valid=True,
-        gate_value=gate,
-        peak_coefficient=peak_coefficient,
-    )
+        return DirectionEstimate(0.0, 90.0, True, gate)
+    return DirectionEstimate(degrees(atan2(tau1, tau2)) % 360.0, degrees(acos(min(gate, 1.0))), True, gate)
 
 
 def tdoa_from_direction(az_deg: float, el_deg: float, geom: ArrayGeometry) -> tuple[float, float]:

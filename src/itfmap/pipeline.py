@@ -15,8 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from itfmap import denoise, xcorr
-from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdoa
-from itfmap.signals import SampleRecord, SegmentationPlan, Window, normalize_segments
+from itfmap.geometry import ArrayGeometry, direction_from_tdoa
+from itfmap.signals import SampleRecord, SegmentationPlan, Window, normalize_segments, read_table, write_table
 # the one-window forms of what `window_peaks` does a block at a time;
 # perfbench's tracer expects them bound here
 from itfmap.signals import normalize_window, segment  # noqa: F401
@@ -74,7 +74,7 @@ class MapResult:
     el_deg: np.ndarray
     valid: np.ndarray
     peak_coefficient: np.ndarray
-    degenerate_windows: list[int]
+    degenerate_windows: np.ndarray
     total_windows: int
     sample_interval: float
     hop: int
@@ -130,8 +130,8 @@ class WindowPeaks:
     """Correlation peaks of a record's windows on both baselines: the rows of
     `peaks` are BC, BD, BC, BD, ... for the windows in `index`."""
 
-    index: list[int]
-    degenerate: list[int]
+    index: np.ndarray
+    degenerate: np.ndarray
     total_windows: int
     peaks: xcorr.PeakNeighborhoods
 
@@ -145,16 +145,15 @@ def window_peaks(
     neighborhood: memory holds one block, never all the windows."""
     w, total = config.plan.window_length, config.plan.count(record.length)
     views = sliding_window_view(record.channels, w, axis=1)[:, :: config.plan.hop]
-    index: list[int] = []
-    degenerate: list[int] = []
+    index, degenerate = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods or (config.cc_method,)}
     for start in range(0, total, WINDOW_CHUNK):
         # order K keeps each window's memory layout, so its means sum in the
         # same order as `normalize_window`'s one-window copy
         block = views[:, start : start + WINDOW_CHUNK].copy(order="K")
         bad = normalize_segments(block).any(axis=0)
-        degenerate += (start + np.flatnonzero(bad)).tolist()
-        index += (start + np.flatnonzero(~bad)).tolist()
+        degenerate.append(start + np.flatnonzero(bad))
+        index.append(start + np.flatnonzero(~bad))
         if bad.all():
             continue
         good = block[:, ~bad] if bad.any() else block
@@ -163,7 +162,7 @@ def window_peaks(
             found.append(xcorr.peak_neighborhoods(coeff.reshape(-1, 2 * w - 1)))
     fields = ("lag", "coefficient", "neighborhood")
     return {
-        m: WindowPeaks(index, degenerate, total, xcorr.PeakNeighborhoods(
+        m: WindowPeaks(np.concatenate(index), np.concatenate(degenerate), total, xcorr.PeakNeighborhoods(
             w - 1, *(np.concatenate([getattr(p, f) for p in found]) for f in fields)))
         for m, found in parts.items()
     }
@@ -176,12 +175,11 @@ def solve_directions(wp: WindowPeaks, lags: Sequence[np.ndarray], config: Pipeli
     pairs, inverse = np.unique(np.reshape(lags, (-1, 2)), axis=0, return_inverse=True)
     solved = [direction_from_tdoa(bc * dt, bd * dt, config.geometry) for bc, bd in pairs.tolist()]
     valid = np.array([e.valid for e in solved], dtype=bool)
-    angles = np.array([(e.az_deg, e.el_deg) if e.valid else (np.nan, np.nan) for e in solved]).reshape(-1, 2)
+    angles = np.array([(e.az_deg, e.el_deg) for e in solved], dtype=np.float64).reshape(-1, 2)  # None -> NaN
     peak_bc, peak_bd = wp.peaks.coefficient.reshape(-1, 2).T
     peak = np.where(peak_bd < peak_bc, peak_bd, peak_bc)  # min(peak_bc, peak_bd), ties to BC
-    index = np.array(wp.index, dtype=np.int64)
     return [
-        MapResult(index, *angles[rows].T, valid[rows], peak, wp.degenerate, wp.total_windows, dt,
+        MapResult(wp.index, *angles[rows].T, valid[rows], peak, wp.degenerate, wp.total_windows, dt,
                   config.plan.hop, config.plan.window_length)
         for rows in inverse.reshape(len(lags), -1)
     ]
@@ -200,43 +198,44 @@ def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:
 MAP_CSV_HEADER = "window_index,time_s,azimuth_deg,elevation_deg,peak_coeff,valid"
 
 
-def write_map_csv(result: MapResult, path: str | Path, header_comments: list[str] | None = None) -> Path:
+def write_map_csv(result: MapResult, path: str | Path, header_comments: Sequence[str] = ()) -> Path:
     """One row per non-degenerate window, ordered by window index.
 
     Invalid (gate-failed) rows keep their index and peak but leave the angle
     fields empty, so the file never carries NaN angles.
     """
-    path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append(MAP_CSV_HEADER)
     columns = (result.window_index, result.az_deg, result.el_deg, result.peak_coefficient, result.valid)
-    for i, az, el, peak, valid in zip(*(c.tolist() for c in columns)):
-        t = float(i * result.hop * result.sample_interval)
-        angles = f"{az!r},{el!r}" if valid else ","
-        lines.append(f"{i},{t!r},{angles},{peak!r},{int(valid)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = (
+        f"{i},{float(i * result.hop * result.sample_interval)!r},{f'{az!r},{el!r}' if ok else ','},{peak!r},{int(ok)}"
+        for i, az, el, peak, ok in zip(*(c.tolist() for c in columns))
+    )
+    return write_table(path, MAP_CSV_HEADER, rows, header_comments)
 
 
-def read_map_csv(path: str | Path) -> list[DirectionEstimate]:
-    out: list[DirectionEstimate] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("window_index"):
-            continue
-        idx, _t, az, el, peak, valid = line.split(",")
-        ok = valid == "1"
-        angles = (float(az), float(el)) if ok else (None, None)
-        out.append(DirectionEstimate(int(idx), *angles, valid=ok, gate_value=float("nan"), peak_coefficient=float(peak)))
-    return out
+def read_map_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns `write_map_csv` writes from: window index, azimuth,
+    elevation (NaN on invalid rows), peak coefficient and valid.
+
+    ValueError when `signals.read_table` rejects the file, a number field
+    does not parse, a valid field is not 0 or 1, or a valid row's angles are
+    not finite and in [0, 360] x [0, 90] (a tiny negative azimuth wraps to
+    360.0, so 360 is accepted).
+    """
+    index, time, az, el, peak, valid = np.array(read_table(path, MAP_CSV_HEADER), dtype=str).reshape(-1, 6).T
+    time.astype(np.float64)  # parsed only to reject a non-number: the index gives the time
+    if not np.isin(valid, ("0", "1")).all():
+        raise ValueError("a valid field is not 0 or 1")
+    valid = valid == "1"
+    az, el = (np.where(valid, a, "nan").astype(np.float64) for a in (az, el))
+    if not ((0 <= az) & (az <= 360) & (0 <= el) & (el <= 90))[valid].all():
+        raise ValueError("a valid row's angles are not finite and in [0, 360] x [0, 90]")
+    return index.astype(np.int64), az, el, peak.astype(np.float64), valid
 
 
-def write_elevation_series_csv(result: MapResult, path: str | Path, header_comments: list[str] | None = None) -> Path:
+def write_elevation_series_csv(result: MapResult, path: str | Path, header_comments: Sequence[str] = ()) -> Path:
     """Elevation-vs-time series of the valid windows (one row per window)."""
-    path = Path(path)
-    lines = [f"# {c}" for c in (header_comments or [])]
-    lines.append("window_index,time_s,elevation_deg")
-    for i, el in zip(result.window_index[result.valid].tolist(), result.el_deg[result.valid].tolist()):
-        lines.append(f"{i},{float(i * result.hop * result.sample_interval)!r},{el!r}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = (
+        f"{i},{float(i * result.hop * result.sample_interval)!r},{el!r}"
+        for i, el in zip(result.window_index[result.valid].tolist(), result.el_deg[result.valid].tolist())
+    )
+    return write_table(path, "window_index,time_s,elevation_deg", rows, header_comments)

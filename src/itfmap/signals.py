@@ -8,6 +8,10 @@ crossed-baseline interferometer capture.  Two on-disk formats are supported:
 * raw binary: 16-byte header (magic ``ITFR``, u32 sample count, f32 sample
   interval, 4 reserved bytes; little-endian), then the three channels as
   little-endian f32, channel-major.
+
+Result tables (map, elevation series, benchmark report, ground-truth
+sidecar) share one CSV layout, written by `write_table` and read by
+`read_table`: ``# `` comment lines, one header line, then comma rows.
 """
 
 from __future__ import annotations
@@ -158,8 +162,31 @@ def normalize_segments(segments: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# File I/O
+# File I/O: result tables, and records as CSV or raw binary
 # ----------------------------------------------------------------------
+
+def write_table(path: str | Path, header: str, rows: Iterable[str], comments: Iterable[str] = ()) -> Path:
+    """A result table: one ``# `` line per comment, the `header` line, then
+    the comma-separated `rows`; every line ends with a newline."""
+    path = Path(path)
+    path.write_text("\n".join([*(f"# {c}" for c in comments), header, *rows]) + "\n")
+    return path
+
+
+def read_table(path: str | Path, header: str) -> list[list[str]]:
+    """The field lists of the rows of a `write_table` table.  Blank and
+    ``#`` lines are skipped; ValueError unless the first other line is
+    `header` and every row has as many fields as it."""
+    lines = [s for s in (line.strip() for line in Path(path).read_text().splitlines()) if s and s[0] != "#"]
+    if not lines or lines[0] != header:
+        raise ValueError(f"expected the header {header!r}, found {lines[0] if lines else 'none'!r}")
+    rows = [line.split(",") for line in lines[1:]]
+    width = header.count(",") + 1
+    for n, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValueError(f"row {n} has {len(row)} fields, the header {width}")
+    return rows
+
 
 def record_format(path: str | Path, fmt: str | None = None) -> str:
     """`fmt`, or the format the suffix of `path` implies (``.bin``/``.raw``/

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from itfmap.geometry import ArrayGeometry, tdoa_from_direction
-from itfmap.signals import SampleRecord
+from itfmap.signals import SampleRecord, read_table, write_table
 
 TRACK_KINDS = ("constant", "linear-sweep", "random-walk")
 MAX_DELAY_SAMPLES = 2**16  # largest baseline transit (samples) the command line synthesizes
@@ -270,26 +270,19 @@ def add_record_noise(record: SampleRecord, snr_db: float, seed: int = 0) -> Samp
 # Ground-truth sidecar CSV
 # ----------------------------------------------------------------------
 
+TRUTH_CSV_HEADER = "window_index,az_deg,el_deg,tau1_s,tau2_s"
+
+
 def save_truth(sim: SimulatedRecord, path: str | Path) -> Path:
-    """Sidecar CSV: window_index,az_deg,el_deg,tau1_s,tau2_s."""
-    path = Path(path)
-    lines = ["window_index,az_deg,el_deg,tau1_s,tau2_s"]
-    t = sim.truth
-    az, el = t.az_deg.tolist(), t.el_deg.tolist()
-    t1, t2 = sim.tau1_s.tolist(), sim.tau2_s.tolist()
-    for i in range(len(t)):
-        lines.append(f"{i},{az[i]!r},{el[i]!r},{t1[i]!r},{t2[i]!r}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    """Sidecar CSV: one `TRUTH_CSV_HEADER` row per window."""
+    columns = (sim.truth.az_deg, sim.truth.el_deg, sim.tau1_s, sim.tau2_s)
+    rows = (
+        f"{i},{az!r},{el!r},{t1!r},{t2!r}" for i, (az, el, t1, t2) in enumerate(zip(*(c.tolist() for c in columns)))
+    )
+    return write_table(path, TRUTH_CSV_HEADER, rows)
 
 
 def load_truth(path: str | Path, window_length: int = 256, hop: int = 1) -> AngleTrack:
-    path = Path(path)
-    az, el = [], []
-    for line in path.read_text().splitlines()[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        az.append(float(parts[1]))
-        el.append(float(parts[2]))
-    return AngleTrack(np.array(az), np.array(el), window_length=window_length, hop=hop)
+    rows = read_table(path, TRUTH_CSV_HEADER)
+    az, el = np.array([(float(az), float(el)) for _, az, el, _, _ in rows]).reshape(-1, 2).T
+    return AngleTrack(az, el, window_length=window_length, hop=hop)

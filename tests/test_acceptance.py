@@ -228,7 +228,7 @@ def test_criterion_7_transit_gate_fuzz(tmp_path, criterion_reporter):
     for i in range(5000):
         t1 = rng.uniform(-2.0, 2.0) * geom.transit_time
         t2 = rng.uniform(-2.0, 2.0) * geom.transit_time
-        est = direction_from_tdoa(t1, t2, geom, window_index=i, peak_coefficient=0.5)
+        est = direction_from_tdoa(t1, t2, geom)
         if np.hypot(t1, t2) > geom.transit_time * (1 + 1e-12):
             n_beyond += 1
             assert not est.valid
@@ -237,7 +237,7 @@ def test_criterion_7_transit_gate_fuzz(tmp_path, criterion_reporter):
     angles = np.array([(e.az_deg, e.el_deg) if e.valid else (np.nan, np.nan) for e in estimates])
     result = pipeline.MapResult(
         np.arange(5000), *angles.T, np.array([e.valid for e in estimates]),
-        np.array([e.peak_coefficient for e in estimates]), [], 5000, DT, 1, 256,
+        np.full(5000, 0.5), np.empty(0, dtype=np.int64), 5000, DT, 1, 256,
     )
     csv_path = pipeline.write_map_csv(result, tmp_path / "fuzz.csv")
     text = csv_path.read_text().lower()

@@ -85,24 +85,21 @@ class TestMapCommand:
         out = tmp_path / "map.csv"
         assert run("map", "--input", str(rec), "--output", str(out),
                    "--window", "128", "--hop", "4", "--interp", "cubic:8") == EXIT_OK
-        rows = pipeline.read_map_csv(out)
-        assert len(rows) == 60
-        assert any(r.valid for r in rows)
+        index, _az, _el, _peak, valid = pipeline.read_map_csv(out)
+        assert len(index) == 60
+        assert valid.any()
 
     def test_map_matches_truth(self, tmp_path):
         rec = self.make_record(tmp_path)
         out = tmp_path / "map.csv"
         run("map", "--input", str(rec), "--output", str(out),
             "--window", "128", "--hop", "4", "--interp", "cubic:8")
-        rows = [r for r in pipeline.read_map_csv(out) if r.valid]
+        index, az, el, _peak, valid = pipeline.read_map_csv(out)
         truth = simulate.load_truth(tmp_path / "rec.csv.truth.csv")
-        errs = [
-            np.hypot(
-                float(evaluate.wrap_azimuth_residual(np.array([r.az_deg - truth.az_deg[r.window_index]]))[0]),
-                r.el_deg - truth.el_deg[r.window_index],
-            )
-            for r in rows
-        ]
+        rows = index[valid]
+        errs = np.hypot(
+            evaluate.wrap_azimuth_residual(az[valid] - truth.az_deg[rows]), el[valid] - truth.el_deg[rows]
+        )
         assert np.mean(errs) < 3.0
 
     def test_missing_input(self, tmp_path):
@@ -217,9 +214,8 @@ class TestMapCommand:
                    "--window", "64", "--hop", "4", "--interp", "cubic:8",
                    "--filter", filt) == EXIT_OK
         covering = {i for i in range(40) if 4 * i <= 100 < 4 * i + 64}
-        assert [r.window_index for r in pipeline.read_map_csv(out)] == [
-            i for i in range(40) if i not in covering
-        ]
+        index = pipeline.read_map_csv(out)[0]
+        assert index.tolist() == [i for i in range(40) if i not in covering]
         assert f"{len(covering)} degenerate" in capsys.readouterr().out
 
 
@@ -351,14 +347,12 @@ class TestBenchCommand:
                    "--record-windows", "50", *synthesis) == EXIT_OK
 
         truth = simulate.load_truth(tmp_path / "rec.csv.truth.csv", window_length=128, hop=16)
-        rows = pipeline.read_map_csv(mp)
+        index, az_rows, el_rows, _peak, valid_rows = pipeline.read_map_csv(mp)
         az = np.zeros(len(truth))
         el = np.zeros(len(truth))
         valid = np.zeros(len(truth), dtype=bool)
-        for r in rows:
-            if r.valid:
-                az[r.window_index], el[r.window_index] = r.az_deg, r.el_deg
-                valid[r.window_index] = True
+        rows = index[valid_rows]
+        az[rows], el[rows], valid[rows] = az_rows[valid_rows], el_rows[valid_rows], True
         est = simulate.AngleTrack(az, el, window_length=128, hop=16, valid=valid)
         direct = evaluate.map_error(est, truth)
 

@@ -1,17 +1,22 @@
 """Properties: `itfmap map` ends every hostile input in a documented exit
-code, and `itfmap simulate` either writes its record or rejects its settings
-with exit 3 before writing anything.
+code, `itfmap simulate` either writes its record or rejects its settings
+with exit 3 before writing anything, and `itfmap plot` rejects a damaged
+map CSV with exit 4 and otherwise writes an SVG that parses as XML.
 
 Records are small and generated from a few drawn parameters: records shorter
 than the window, constant channels, NaN and inf samples, magnitudes near
 1e300, truncated or garbled raw-binary headers, malformed CSV headers and a
 hop larger than the record.  Simulate settings mix valid values with NaN,
 infinities, out-of-range angles, non-positive augmentation and unknown track
-kinds and formats.
+kinds and formats.  Map CSVs lose or change their header, gain or lose a
+field, carry text in a number field, a valid field other than 0/1, or valid
+rows with empty, non-finite or out-of-range angles, under file names holding
+``&``, ``<`` and ``"``.
 """
 
 import struct
 import tempfile
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -131,3 +136,77 @@ def test_simulate_writes_or_rejects_its_settings(snr, track, angles, augment, fl
         written = sorted(p.name for p in Path(tmp).iterdir())
     assert code in (0, 3)
     assert written == (["rec.csv", "rec.csv.truth.csv"] if code == 0 else [])
+
+
+MAP_DAMAGE = ["no-header", "foreign-header", "extra-field", "missing-field", "text-index", "huge-index",
+              "text-time", "text-peak", "valid=2", "valid=true"]
+GOOD_AZ = ["0.0", "123.456", "359.9", "360.0"]
+GOOD_EL = ["0.0", "45.5", "90.0"]
+BAD_ANGLES = ["", "nan", "inf", "-inf", "-0.5", "360.5", "90.5", "1e308", "abc"]
+NAMES = ["map.csv", "a&b<c.csv", 'say "hi".csv', "<svg>&amp;'.csv"]
+
+
+def in_range(text: str, top: float) -> bool:
+    try:
+        return 0.0 <= float(text) <= top
+    except ValueError:
+        return False
+
+
+@st.composite
+def map_rows(draw):
+    """(valid, azimuth text, elevation text) rows; invalid rows leave their
+    angles empty as `write_map_csv` does, or carry text the reader ignores."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            # two draws in three pick an angle in range
+            az = draw(st.one_of(st.sampled_from(GOOD_AZ), st.sampled_from(GOOD_AZ), st.sampled_from(BAD_ANGLES)))
+            el = draw(st.one_of(st.sampled_from(GOOD_EL), st.sampled_from(GOOD_EL), st.sampled_from(BAD_ANGLES)))
+            rows.append((True, az, el))
+        else:
+            rows.append((False, *draw(st.sampled_from([("", ""), ("", ""), ("nan", "x")]))))
+    return rows
+
+
+def map_file(rows, damage: str | None) -> str:
+    """Map CSV text of `rows`, with one part damaged as `damage` names."""
+    lines = [f"{i},{i * 4e-9!r},{az},{el},0.5,{int(ok)}".split(",") for i, (ok, az, el) in enumerate(rows)]
+    first = lines[0]
+    if damage == "extra-field":
+        first.append("0")
+    elif damage == "missing-field":
+        first.pop()
+    elif damage in ("text-index", "huge-index", "text-time", "text-peak", "valid=2", "valid=true"):
+        field = {"text-index": 0, "huge-index": 0, "text-time": 1, "text-peak": 4}.get(damage, 5)
+        first[field] = {"text-index": "x", "huge-index": "9" * 24, "valid=2": "2", "valid=true": "true"}.get(damage, "t")
+    header = {"no-header": [], "foreign-header": ["window,time_s,azimuth_deg,elevation_deg,peak_coeff,valid"]}.get(
+        damage, ["window_index,time_s,azimuth_deg,elevation_deg,peak_coeff,valid"])
+    return "\n".join(["# cc = cctd", *header, *(",".join(line) for line in lines)]) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rows=map_rows(),
+    damage=st.sampled_from([None, *MAP_DAMAGE]),
+    name=st.sampled_from(NAMES),
+)
+@example(rows=[(True, "10.0", "20.0")], damage=None, name="a&b<c.csv")
+@example(rows=[(True, "nan", "inf")], damage=None, name="map.csv")
+def test_plot_rejects_damaged_maps_and_writes_only_parsable_svg(rows, damage, name):
+    """A damaged map or a valid row with angles that are not finite and in
+    [0, 360] x [0, 90] exits 4; a map with no valid row exits 6; any other
+    map exits 0 with one circle per valid row, under the file name escaped."""
+    bad_angles = any(ok and not (in_range(az, 360.0) and in_range(el, 90.0)) for ok, az, el in rows)
+    expected = 4 if damage or bad_angles else 0 if any(ok for ok, _, _ in rows) else 6
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, svg = Path(tmp) / name, Path(tmp) / "map.svg"
+        inp.write_text(map_file(rows, damage))
+        code = main(["plot", "--input", str(inp), "--output", str(svg)])
+        doc = xml.dom.minidom.parse(str(svg)) if code == 0 else None
+        assert svg.exists() == (code == 0)
+    assert code == expected
+    if doc is not None:
+        assert doc.getElementsByTagName("text")[0].firstChild.data == name
+        assert len(doc.getElementsByTagName("circle")) == sum(ok for ok, _, _ in rows)

@@ -16,9 +16,7 @@ G = ArrayGeometry(d=15.0, c=3e8)
 class TestForward:
     def test_zenith(self):
         est = direction_from_tdoa(0.0, 0.0, G)
-        assert est.valid and est.at_zenith
-        assert est.az_deg == 0.0 and est.el_deg == 90.0
-        assert est.gate_value == 0.0
+        assert (est.az_deg, est.el_deg, est.valid, est.gate_value) == (0.0, 90.0, True, 0.0)
 
     def test_boundary_345_triangle(self):
         # (30 ns, 40 ns): gate = (3e8/15)*50e-9 = 1 exactly -> El 0, valid

@@ -109,8 +109,9 @@ class TestWindowChunks:
         cfg = PipelineConfig(cc_method=method, plan=GAPS_PLAN)
         wp = window_peaks(rec, cfg)[method]
         pairs = [correlate_window(normalize_window(w), cfg, DT) for w in segment(rec, GAPS_PLAN)]
-        assert wp.degenerate == [i for i, pair in enumerate(pairs) if pair is None]
-        assert wp.index == [i for i, pair in enumerate(pairs) if pair is not None]
+        np.testing.assert_array_equal(wp.degenerate, [i for i, pair in enumerate(pairs) if pair is None])
+        np.testing.assert_array_equal(wp.index, [i for i, pair in enumerate(pairs) if pair is not None])
+        assert wp.index.dtype == wp.degenerate.dtype == np.int64
         assert len(wp.degenerate) == 28
         ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
         for field in ("lag", "coefficient", "neighborhood"):
@@ -169,22 +170,23 @@ class TestSolveDirections:
         pairs = np.array([[0.0, 0.0], [3.0, -4.0], [40.0, 0.0], [-2.5, 7.125], [12.0, 9.0], [-40.0, -40.0]])
         specs = [pairs[rng.integers(len(pairs), size=30)].ravel() for _ in range(3)]
         assert {tuple(p) for p in np.reshape(specs, (-1, 2))} >= {(0.0, 0.0), (40.0, 0.0)}
-        index = sorted(rng.choice(50, size=30, replace=False).tolist())
+        index = np.sort(rng.choice(50, size=30, replace=False))
         coefficient = rng.uniform(0.2, 1.0, size=60)
         coefficient[7] = coefficient[6]  # a tie between the window's BC and BD peaks
         peaks = xcorr.PeakNeighborhoods(127, np.zeros(60, dtype=int), coefficient, np.zeros((60, 17)))
-        wp = WindowPeaks(index, [i for i in range(50) if i not in index], 50, peaks)
+        wp = WindowPeaks(index, np.setdiff1d(np.arange(50), index), 50, peaks)
         results = solve_directions(wp, specs, PipelineConfig(geometry=G), DT)
         assert len(results) == 3
         for lags, res in zip(specs, results):
             np.testing.assert_array_equal(res.window_index, index)
-            assert res.degenerate_windows == wp.degenerate and res.total_windows == 50
-            for row, (i, (bc, bd), (peak_bc, peak_bd)) in enumerate(
-                zip(index, lags.reshape(-1, 2).tolist(), coefficient.reshape(-1, 2).tolist())
+            np.testing.assert_array_equal(res.degenerate_windows, wp.degenerate)
+            assert res.total_windows == 50
+            for row, ((bc, bd), (peak_bc, peak_bd)) in enumerate(
+                zip(lags.reshape(-1, 2).tolist(), coefficient.reshape(-1, 2).tolist())
             ):
-                est = direction_from_tdoa(bc * DT, bd * DT, G, window_index=i, peak_coefficient=min(peak_bc, peak_bd))
+                est = direction_from_tdoa(bc * DT, bd * DT, G)
                 assert res.valid[row] == est.valid
-                assert res.peak_coefficient[row] == est.peak_coefficient
+                assert res.peak_coefficient[row] == min(peak_bc, peak_bd)
                 if est.valid:
                     assert (res.az_deg[row], res.el_deg[row]) == (est.az_deg, est.el_deg)
                 else:
@@ -192,7 +194,7 @@ class TestSolveDirections:
 
     def test_no_correlated_window(self):
         peaks = xcorr.peak_neighborhoods(np.empty((0, 15)))
-        wp = WindowPeaks([], [0, 1], 2, peaks)
+        wp = WindowPeaks(np.empty(0, dtype=np.int64), np.arange(2), 2, peaks)
         (res,) = solve_directions(wp, [np.empty(0)], PipelineConfig(geometry=G), DT)
         assert len(res.window_index) == len(res.az_deg) == 0
         assert not res.track().valid.any()
@@ -206,19 +208,48 @@ class TestMapCsv:
         path = write_map_csv(res, tmp_path / "map.csv", ["cc = cctd"])
         text = path.read_text()
         assert text.startswith("# cc = cctd\nwindow_index,")
-        back = read_map_csv(path)
-        assert len(back) == len(res.window_index)
-        for i, loaded in enumerate(back):
-            assert loaded.window_index == res.window_index[i]
-            assert loaded.valid == res.valid[i]
-            if res.valid[i]:
-                assert loaded.az_deg == pytest.approx(res.az_deg[i], abs=0)
-                assert loaded.el_deg == pytest.approx(res.el_deg[i], abs=0)
+        columns = (res.window_index, res.az_deg, res.el_deg, res.peak_coefficient, res.valid)
+        for back, column in zip(read_map_csv(path), columns, strict=True):
+            assert back.dtype == column.dtype and back.tobytes() == column.tobytes()
+
+    def test_read_back_is_bit_identical_with_gate_failed_rows(self, tmp_path):
+        rng = np.random.default_rng(12)
+        lags = rng.uniform(-20.0, 20.0, size=(40, 2))  # beyond 12.5 samples of transit, the gate fails
+        lags[0] = 0.0  # the zenith
+        coefficient = rng.uniform(0.2, 1.0, size=80)
+        peaks = xcorr.PeakNeighborhoods(127, np.zeros(80, dtype=int), coefficient, np.zeros((80, 17)))
+        index = np.sort(rng.choice(60, size=40, replace=False))
+        wp = WindowPeaks(index, np.setdiff1d(np.arange(60), index), 60, peaks)
+        (res,) = solve_directions(wp, [lags.ravel()], PipelineConfig(geometry=G), DT)
+        assert 0 < np.count_nonzero(res.valid) < 40
+        path = write_map_csv(res, tmp_path / "map.csv", ["cc = cctd"])
+        columns = (res.window_index, res.az_deg, res.el_deg, res.peak_coefficient, res.valid)
+        for back, column in zip(read_map_csv(path), columns, strict=True):
+            assert back.dtype == column.dtype and back.tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("row", [
+        "0,0.0,10.0,20.0,0.5,2", "0,0.0,10.0,20.0,0.5,", "0,0.0,,20.0,0.5,1", "0,0.0,nan,20.0,0.5,1",
+        "0,0.0,10.0,inf,0.5,1", "0,0.0,360.5,20.0,0.5,1", "0,0.0,10.0,-1.0,0.5,1", "0,0.0,10.0,90.5,0.5,1",
+        "x,0.0,10.0,20.0,0.5,1", "0,t,10.0,20.0,0.5,1", "0,0.0,10.0,20.0,p,1", "0,0.0,10.0,20.0,0.5",
+    ])
+    def test_reader_rejects_a_damaged_row(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{pipeline.MAP_CSV_HEADER}\n{row}\n")
+        with pytest.raises(ValueError):
+            read_map_csv(path)
+
+    def test_reader_takes_the_angle_bounds_and_ignores_invalid_angles(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{pipeline.MAP_CSV_HEADER}\n0,0.0,360.0,90.0,0.5,1\n1,0.0,0.0,0.0,0.5,1\n2,0.0,x,,0.5,0\n")
+        index, az, el, _peak, valid = read_map_csv(path)
+        assert index.tolist() == [0, 1, 2] and valid.tolist() == [True, True, False]
+        np.testing.assert_array_equal(az, [360.0, 0.0, np.nan])
+        np.testing.assert_array_equal(el, [90.0, 0.0, np.nan])
 
     def test_invalid_rows_have_empty_angles_not_nan(self, tmp_path):
         res = MapResult(
             np.array([0, 1]), np.array([10.0, np.nan]), np.array([20.0, np.nan]), np.array([True, False]),
-            np.array([0.8, 0.2]), [], 2, DT, 1, 64,
+            np.array([0.8, 0.2]), np.empty(0, dtype=np.int64), 2, DT, 1, 64,
         )
         text = write_map_csv(res, tmp_path / "m.csv").read_text()
         assert "nan" not in text.lower()

@@ -1,19 +1,22 @@
-"""Record I/O, segmentation arithmetic, and window normalization."""
+"""Record I/O, result tables, segmentation arithmetic, and window normalization."""
 
 import struct
 
 import numpy as np
 import pytest
 
+from itfmap import evaluate, pipeline, simulate
 from itfmap.signals import (
     RecordFormatError,
     SampleRecord,
     SegmentationPlan,
     load_record,
     normalize_window,
+    read_table,
     record_format,
     save_record,
     segment,
+    write_table,
 )
 
 
@@ -219,3 +222,38 @@ class TestNormalizeWindow:
     def test_minimum_length(self):
         with pytest.raises(ValueError, match="2 samples"):
             normalize_window(self.window_of([[1], [1], [1]]))
+
+
+class TestResultTables:
+    def test_layout_and_read_back(self, tmp_path):
+        path = write_table(tmp_path / "t.csv", "a,b", (f"{i},{i * 0.5!r}" for i in range(2)), ["k = v", "x = 1"])
+        assert path.read_text() == "# k = v\n# x = 1\na,b\n0,0.0\n1,0.5\n"
+        assert read_table(path, "a,b") == [["0", "0.0"], ["1", "0.5"]]
+        assert write_table(path, "a,b", []).read_text() == "a,b\n"
+        assert read_table(path, "a,b") == []
+
+    def test_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n# note\n a,b \n\n1,2\n# later\n")
+        assert read_table(path, "a,b") == [["1", "2"]]
+
+    def test_rejects_a_row_of_another_width(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n1,2,3\n")
+        with pytest.raises(ValueError, match="row 2 has 3 fields, the header 2"):
+            read_table(path, "a,b")
+
+    @pytest.mark.parametrize("reader, header", [
+        (pipeline.read_map_csv, pipeline.MAP_CSV_HEADER),
+        (evaluate.load_report_csv, evaluate.REPORT_CSV_HEADER),
+        (simulate.load_truth, simulate.TRUTH_CSV_HEADER),
+    ])
+    @pytest.mark.parametrize("damage", ["missing", "foreign", "empty"])
+    def test_every_reader_rejects_a_missing_or_foreign_header(self, tmp_path, reader, header, damage):
+        width = header.count(",") + 1
+        first = {"missing": [], "foreign": [header.replace(",", ";", 1)], "empty": []}[damage]
+        rows = [] if damage == "empty" else [",".join(["1"] * width)]
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(["# comment", *first, *rows]) + "\n")
+        with pytest.raises(ValueError, match="expected the header"):
+            reader(path)
