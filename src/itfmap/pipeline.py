@@ -96,7 +96,8 @@ def denoise_record(record: SampleRecord, spec: str | None) -> SampleRecord:
 
     Non-finite samples (capture dropouts) are filtered as zeros and written
     back as NaN afterwards, so only the windows that cover one turn
-    degenerate instead of the filter spreading it through the record.
+    degenerate instead of the filter spreading it through the record.  A
+    constant channel passes unfiltered: rounding residue would pass the degenerate check.
     """
     if spec is None:
         return record
@@ -105,7 +106,9 @@ def denoise_record(record: SampleRecord, spec: str | None) -> SampleRecord:
     if not np.isfinite(channels).all():
         bad = ~np.isfinite(channels)
         channels = np.where(bad, 0.0, channels)
-    filtered = np.vstack([denoise.apply_filter(ch, spec, record.sample_interval) for ch in channels])
+    filtered = np.vstack([
+        ch if len(ch) and ch.min() == ch.max() else denoise.apply_filter(ch, spec, record.sample_interval)
+        for ch in channels])
     if bad is not None:
         filtered[bad] = np.nan
     return SampleRecord(filtered, record.sample_interval, record.label)

@@ -1,9 +1,10 @@
 """Golden outputs: a seeded `simulate` record, its `map` CSV for every
-correlation method and interpolation spec, a copy of the record with a NaN
-sample and a constant stretch mapped at hop 3 by every correlation method,
-and a seeded `bench` report stay byte-identical to the files committed under
-``tests/golden/``.  The ccwd maps stay so under OpenBLAS kernels forced to
-other CPUs' (``OPENBLAS_CORETYPE``) as well.
+correlation method and interpolation spec and its ccwd map under four wavelet
+filters, a copy of the record with a NaN sample and a constant stretch mapped
+at hop 3 by every correlation method, and a seeded `bench` report stay
+byte-identical to the files committed under ``tests/golden/``.  The ccwd maps
+stay so under OpenBLAS kernels forced to other CPUs' (``OPENBLAS_CORETYPE``)
+as well.
 
 Regenerate the files only when an output is meant to change:
 
@@ -36,6 +37,10 @@ INTERPS = ("none", "linear:2", "linear:8", "cubic:2", "cubic:8")
 GAPS = "rec-gaps.csv"
 GAPS_MAP = ["--window", "32", "--hop", "3", "--interp", "cubic:8"]
 BENCH = ["--window", "128", "--hop", "32", "--records", "2", "--record-windows", "16", "--seed", "3"]
+# the golden record denoised on every basis, under both threshold rules, then
+# mapped by ccwd: pins the periodic DWT at full precision
+WT_FILTERS = ("wt-sym4-sure", "wt-coif5-sure", "wt-db10-universal", "wt-fk14-universal")
+WT_MAP = ["--cc", "ccwd", "--interp", "cubic:8", "--window", "128", "--hop", "1"]
 
 
 def map_name(cc: str, interp: str) -> str:
@@ -46,6 +51,7 @@ OUTPUTS = (
     [RECORD, RECORD + ".truth.csv", "bench.csv"]
     + [map_name(cc, interp) for cc in CC_METHODS for interp in INTERPS]
     + [GAPS] + [f"map-gaps-{cc}.csv" for cc in CC_METHODS]
+    + [f"map-{spec}-ccwd.csv" for spec in WT_FILTERS]
 )
 
 
@@ -68,6 +74,9 @@ def map_runs() -> list[tuple[str, list[str]]]:
     for cc in CC_METHODS:
         runs.append((f"map-gaps-{cc}.csv", ["map", "--input", GAPS, "--output", f"map-gaps-{cc}.csv", "--cc", cc,
                                             *GAPS_MAP]))
+    for spec in WT_FILTERS:
+        runs.append((f"map-{spec}-ccwd.csv", ["map", "--input", RECORD, "--output", f"map-{spec}-ccwd.csv",
+                                              "--filter", spec, *WT_MAP]))
     return runs
 
 
@@ -105,7 +114,8 @@ def test_output_matches_golden(produced, name):
 # OpenBLAS picks its dot-product kernels per CPU, and OPENBLAS_CORETYPE forces
 # another CPU's.  ccwd makes no BLAS call, so its maps must not move; cctd and
 # ccfd still take their norms (and cctd its correlation) from BLAS, and their
-# maps do move in the last digits of peak_coeff: these are left out.
+# maps do move in the last digits of peak_coeff: these are left out.  The
+# periodic DWT of the wt-* filters makes no BLAS call either.
 FOREIGN_CORES = ("Haswell", "Prescott")
 CROSS_CORE_MAPS = [name for name, _ in map_runs() if "-ccwd" in name]
 NOT_YET_CROSS_CORE = [name for name, _ in map_runs() if name not in CROSS_CORE_MAPS]
@@ -160,7 +170,7 @@ def foreign_maps(tmp_path_factory) -> dict:
 
 
 def test_cross_core_set_is_the_ccwd_maps():
-    assert len(CROSS_CORE_MAPS) == 6 and len(NOT_YET_CROSS_CORE) == 12
+    assert len(CROSS_CORE_MAPS) == 10 and len(NOT_YET_CROSS_CORE) == 12
     assert all("-cctd" in n or "-ccfd" in n for n in NOT_YET_CROSS_CORE)
 
 

@@ -55,6 +55,21 @@ class TestMapRecord:
         assert len(res.window_index) == 0
         assert len(res.degenerate_windows) == res.total_windows
 
+    @pytest.mark.parametrize("spec", [*evaluate.DEFAULT_FILTERS, "bpf-hw", None])
+    @pytest.mark.parametrize("record", ["d-constant", "all-ones"])
+    def test_a_constant_channel_degenerates_under_every_filter(self, spec, record):
+        """A channel whose samples are all equal passes its filter unchanged,
+        so every window flags it degenerate; a filter's rounding residue
+        (about 3e-16) would pass the degenerate check and map as directions."""
+        channels = np.ones((3, 64))
+        if record == "d-constant":
+            channels[:2] = np.random.default_rng(5).normal(size=(2, 64))
+            channels[2] = 0.5
+        cfg = PipelineConfig(filter_spec=spec, plan=SegmentationPlan(16, 4))
+        res = map_record(SampleRecord(channels, sample_interval=DT), cfg)
+        assert res.total_windows == 13
+        assert len(res.degenerate_windows) == 13 and len(res.window_index) == 0
+
     def test_filtered_pipeline_runs(self):
         sim = fixture_sim(n_win=60)
         cfg = PipelineConfig(

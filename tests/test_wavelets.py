@@ -6,12 +6,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itfmap import wavelets
+from itfmap import denoise, wavelets
 from itfmap._wavelet_tables import SCALING_FILTERS
-from itfmap.wavelets import get_basis
+from itfmap.evaluate import DEFAULT_FILTERS
+from itfmap.wavelets import TAP_BLOCK, get_basis
 
 ALL_BASES = wavelets.available_bases()
 TABLE_TOOL = Path(__file__).resolve().parent.parent / "tools" / "make_wavelet_tables.py"
+
+
+def strided_analysis_step(x, basis):
+    """Reference analysis: whole-signal strided passes over the tiled
+    signal, one tap at a time, h and g interleaved per tap."""
+    n0 = len(x)
+    if n0 % 2:
+        x = np.concatenate([x, x[-1:]])
+    n = len(x)
+    L = basis.length
+    xx = np.tile(x, int(np.ceil((n + L) / n)))[: n + L]
+    a = np.zeros(n // 2)
+    d = np.zeros(n // 2)
+    for m in range(L):
+        sl = xx[m : m + n : 2]
+        a += basis.rec_lo[m] * sl
+        d += basis.rec_hi[m] * sl
+    return a, d, n0
 
 
 def rolled_synthesis_step(a, d, basis, n0):
@@ -117,6 +136,54 @@ class TestPeriodicDwt:
         *parts, _lengths = wavelets.wavedec(x, basis, 4)
         total = sum(float(np.dot(p, p)) for p in parts)
         assert abs(total - float(np.dot(x, x))) < 1e-9
+
+
+def signed_zero_signal(n, seed):
+    """Normal samples with every fifth set to -0.0 and every seventh
+    (from the second) to 0.0."""
+    x = np.random.default_rng(seed).normal(size=n)
+    x[::5] = -0.0
+    x[1::7] = 0.0
+    return x
+
+
+class TestBlockedKernels:
+    """`_analysis_step` and `_synthesis_step` sum the taps of `TAP_BLOCK`
+    outputs at a time, and must match the whole-signal references byte for
+    byte at every block size."""
+
+    @staticmethod
+    def lengths(block):
+        """Every length below the longest filter (coif5, 30 taps), odd ones
+        past it, and those whose half crosses a block edge."""
+        edges = [2 * block - 1, 2 * block + 1, 4 * block + 3] if block < 1 << 20 else []
+        return sorted({*range(2, 30), 33, 101, 1025, *edges} - {1})
+
+    @pytest.mark.parametrize("name", ALL_BASES)
+    @pytest.mark.parametrize("block", [TAP_BLOCK, 1, 7, 1 << 30])
+    def test_steps_match_the_references(self, monkeypatch, name, block):
+        monkeypatch.setattr(wavelets, "TAP_BLOCK", block)
+        basis = get_basis(name)
+        for n in self.lengths(block):
+            for x in (signed_zero_signal(n, n), np.full(n, -0.0)):
+                a, d, n0 = wavelets._analysis_step(x, basis)
+                ra, rd, rn0 = strided_analysis_step(x, basis)
+                assert (a.tobytes(), d.tobytes(), n0) == (ra.tobytes(), rd.tobytes(), rn0), n
+                a = np.where(np.arange(len(a)) % 3 == 0, -0.0, a)
+                d = wavelets.soft_threshold(d, 0.5)  # zeros, -0.0 among them
+                step = wavelets._synthesis_step(a, d, basis, n0)
+                assert step.tobytes() == rolled_synthesis_step(a, d, basis, n0).tobytes(), n
+
+    @pytest.mark.parametrize("spec", [f for f in DEFAULT_FILTERS if f.startswith("wt-")])
+    @pytest.mark.parametrize("block", [TAP_BLOCK, 1000])
+    def test_denoise_matches_the_reference_kernels(self, monkeypatch, spec, block):
+        """Across three blocks and an odd tail, at any block size."""
+        x = signed_zero_signal(3 * TAP_BLOCK + 5, 9)
+        monkeypatch.setattr(wavelets, "TAP_BLOCK", block)
+        out = denoise.apply_filter(x, spec, 4e-9)
+        monkeypatch.setattr(wavelets, "_analysis_step", strided_analysis_step)
+        monkeypatch.setattr(wavelets, "_synthesis_step", rolled_synthesis_step)
+        assert out.tobytes() == denoise.apply_filter(x, spec, 4e-9).tobytes()
 
 
 class TestUndecimated:
