@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 KALMAN_SETTLED_RTOL = 1e-15  # variance change that ends the loop (`==` never fires)
 
@@ -46,6 +45,7 @@ def kalman_local_level(z: np.ndarray, q: float, r: float) -> np.ndarray:
         p, p_prev = (1.0 - gain) * pp, p
         out[k] = x
         if q > 0 and abs(p - p_prev) <= KALMAN_SETTLED_RTOL * p_prev:
+            from scipy.signal import lfilter  # SciPy loads only once a variance settles
             out[k + 1 :] = lfilter([gain], [1.0, gain - 1.0], z[k + 1 :], zi=[(1.0 - gain) * x])[0]
             break
     return out

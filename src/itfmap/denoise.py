@@ -15,7 +15,6 @@ preserve signal length and are deterministic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from itfmap._core import kalman_local_level
 from itfmap import wavelets
@@ -77,6 +76,7 @@ def bandpass_filter(signal: np.ndarray, band: tuple[float, float], dt: float) ->
     The two-pass application squares the magnitude response and cancels the
     group delay, so downstream correlation lags carry no filter bias.
     """
+    from scipy.signal import sosfiltfilt  # SciPy loads only for the filters that use it
     return sosfiltfilt(_bandpass_sos(band, dt), np.asarray(signal, dtype=np.float64))
 
 
@@ -87,6 +87,7 @@ def _bandpass_sos(band: tuple[float, float], dt: float) -> np.ndarray:
         raise ValueError(f"need 0 < low < high, got ({low}, {high})")
     if high >= nyquist:
         raise ValueError(f"high cut-off {high} at/above Nyquist {nyquist}")
+    from scipy.signal import butter
     return butter(DEFAULT_ORDER, [low, high], btype="bandpass", fs=1.0 / dt, output="sos")
 
 

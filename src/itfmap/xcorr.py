@@ -13,11 +13,11 @@ is delayed relative to the first.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from itfmap._core import correlate_full
 from itfmap import wavelets
@@ -175,13 +175,60 @@ def peak_neighborhoods(coefficients: np.ndarray) -> PeakNeighborhoods:
     return PeakNeighborhoods(max_lag, i - max_lag, c[rows, i], around)
 
 
+def __getattr__(name: str):
+    # `xcorr.CubicSpline` is SciPy's class, imported on first access:
+    # perfbench's tracer wraps this binding and its tests pin it
+    if name != "CubicSpline":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.interpolate import CubicSpline
+    globals()[name] = CubicSpline
+    return CubicSpline
+
+
+def _cubic(vals: np.ndarray, factor: int) -> np.ndarray:
+    """Rows of `vals` (n >= 3 columns) resampled at offsets k/factor by
+    SciPy's not-a-knot ``CubicSpline(np.arange(n), vals, axis=1)``, operation
+    for operation: LAPACK dgtsv's solve (n = 3: the reciprocal Cholesky sweeps
+    of SciPy's SPD solve) and PPoly's evaluation.  No dot product, dense
+    operator or fma: each rounds differently, and the tie breaks read the bits."""
+    if not np.isfinite(vals).all():
+        raise ValueError("cubic refinement needs finite values")
+    n, y = vals.shape[1], vals.T
+    m = np.diff(y, axis=0)
+    if n == 3:
+        i1 = 1.0 / math.sqrt(4.0 - 1.0 * 1.0)
+        i2 = 1.0 / math.sqrt(1.0 - i1 * i1)
+        z1 = (3.0 * (m[1] + m[0]) - 2.0 * m[0]) * i1
+        s2 = (2.0 * m[1] - i1 * z1) * i2 * i2
+        s1 = (z1 - i1 * s2) * i1
+        s = np.stack([2.0 * m[0] - s1, s1, s2])
+    else:
+        s = np.empty_like(y)
+        s[0], s[-1] = (5.0 * m[0] + m[1]) / 2.0, (m[-2] + 5.0 * m[-1]) / 2.0
+        s[1:-1] = 3.0 * (m[:-1] + m[1:])
+        d, du, dl = [1.0] + [4.0] * (n - 2) + [1.0], [2.0] + [1.0] * (n - 2), [1.0] * (n - 2) + [2.0]
+        for i in range(n - 1):  # this matrix never needs a row swap
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            s[i + 1] -= fact * s[i]
+        s[-1] /= d[-1]
+        s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            s[i] = (s[i] - du[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]  # 0.0: the eliminated dl[i]
+    t = s[:-1] + s[1:] - 2.0 * m
+    c0, c1, c2, c3 = (c[:, None] for c in (t, m - s[:-1] - t, s[:-1], y[:-1]))
+    x = (np.arange(factor + 1) / factor)[:, None]
+    v = (((0.0 + c3) + c2 * x) + c1 * (x * x)) + c0 * ((x * x) * x)  # (n - 1, factor + 1, rows)
+    # each knot is offset 0 of the interval after it, the last knot offset 1 of the last
+    return np.concatenate([v[:, :factor].reshape(-1, v.shape[-1]), v[-1, factor:]]).T
+
+
 def _resample(method: str, vals: np.ndarray, first: int, last: int, factor: int) -> np.ndarray:
     """Rows of `vals`, sampled at integer offsets first .. last, resampled at
     offsets first + k/factor."""
-    k = np.arange((last - first) * factor + 1)
     if method == "cubic":
-        knots = np.arange(first, last + 1, dtype=np.float64)
-        return CubicSpline(knots, vals, axis=1)(first + k / factor)
+        return _cubic(vals, factor)
+    k = np.arange((last - first) * factor + 1)
     # np.interp's arithmetic: slope * (x - x_j) + y_j, with unit knot spacing
     slopes = np.diff(vals, axis=1, append=vals[:, -1:])
     j, r = np.divmod(k, factor)

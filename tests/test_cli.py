@@ -1,5 +1,11 @@
 """CLI commands, exit codes, config handling, output determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -464,3 +470,32 @@ class TestPlotCommand:
     def test_missing_input(self, tmp_path):
         assert run("plot", "--input", str(tmp_path / "nope.csv"),
                    "--output", str(tmp_path / "x.svg")) == EXIT_INPUT
+
+
+SCIPY_PROBE = """
+import json, sys
+from itfmap.cli import main
+print(json.dumps([None, "scipy" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps([main(argv), "scipy" in sys.modules]))
+"""
+
+
+def test_scipy_loads_only_for_the_filters_that_use_it(tmp_path):
+    """A fresh interpreter imports the CLI, simulates, maps by every cc
+    method at cubic:8 with no filter and with a wavelet filter, and plots,
+    all without loading SciPy; the Kalman and band-pass filters then load it
+    on first use."""
+    m = ["map", "--input", "rec.csv", "--output", "m.csv", "--window", "64", "--hop", "32"]
+    free = [["simulate", "--output", "rec.csv", "--windows", "10", "--hop", "32", "--window", "64", "--seed", "3"]]
+    free += [m + ["--filter", "none", "--interp", "cubic:8", "--cc", cc] for cc in ("cctd", "ccfd", "ccwd")]
+    free += [m + ["--filter", "wt-sym4-sure", "--interp", "cubic:8", "--cc", "ccwd"],
+             ["plot", "--input", "m.csv", "--output", "m.svg"]]
+    scipy = [m + ["--filter", "kf"], m + ["--filter", "bpf"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(free + scipy)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert steps == [[None, False]] + [[EXIT_OK, False]] * len(free) + [[EXIT_OK, True]] * len(scipy), proc.stdout

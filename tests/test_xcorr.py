@@ -443,3 +443,50 @@ class TestBatchedRefinement:
         empty = PeakNeighborhoods(255, np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 17)))
         assert [len(x) for x in refine_peaks(empty, ALL_SPECS)] == [0] * len(ALL_SPECS)
 
+
+
+def resampled_shapes():
+    """Every (first, last) offset range `refine_peaks` resamples: the lags
+    within `INTERP_NEIGHBORHOOD` of a peak on a lag axis -L .. L."""
+    n = xcorr.INTERP_NEIGHBORHOOD
+    return sorted({(max(-n, -L - lag), min(n, L - lag)) for L in range(1, 2 * n + 2) for lag in range(-L, L + 1)})
+
+
+def spline_rows(n, rng):
+    """Rows of n knot values: random, flat, 1-decimal ties, plateaus, and
+    rows of signed zeros, +-1e300 and subnormals."""
+    plateau = rng.uniform(-1, 1, (8, n))
+    plateau[:, n // 3 : n // 3 + 3] = 0.75
+    special = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -1e-310]
+    return np.vstack([
+        rng.uniform(-1, 1, (24, n)), np.ones((1, n)), np.full((1, n), -0.0),
+        np.round(rng.uniform(-1, 1, (16, n)), 1), plateau,
+        rng.choice([0.0, -0.0], (16, n)), rng.choice(special, (48, n)),
+    ])
+
+
+class TestCubicKernel:
+    """The NumPy not-a-knot spline of cubic refinement against SciPy's
+    `CubicSpline` to the bit, since the tie breaks compare exact values."""
+
+    def test_refinement_resamples_3_to_17_knots(self):
+        counts = {last - first + 1 for first, last in resampled_shapes()}
+        assert min(counts) == 3 and max(counts) == 17  # 3 only on a lag axis of -1 .. 1
+
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    def test_matches_scipy_cubic_spline_bit_for_bit(self, factor):
+        rng = np.random.default_rng(factor)
+        for first, last in sorted(set(resampled_shapes()) | {(0, n - 1) for n in range(3, 18)}):
+            vals = spline_rows(last - first + 1, rng)
+            dense = first + np.arange((last - first) * factor + 1) / factor
+            expected = CubicSpline(np.arange(first, last + 1, dtype=np.float64), vals, axis=1)(dense)
+            got = xcorr._resample("cubic", vals, first, last, factor)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (first, last)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_neighborhood_is_rejected(self, bad):
+        lags = np.arange(-5, 6)
+        c = np.cos(lags / 3.0)
+        c[7] = bad
+        with pytest.raises(ValueError):
+            refine_peak(CorrelationSeries(lags, c), InterpSpec("cubic", 8))
