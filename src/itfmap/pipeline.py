@@ -151,9 +151,7 @@ def window_peaks(
     index, degenerate = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods or (config.cc_method,)}
     for start in range(0, total, WINDOW_CHUNK):
-        # order K keeps each window's memory layout, so its means sum in the
-        # same order as `normalize_window`'s one-window copy
-        block = views[:, start : start + WINDOW_CHUNK].copy(order="K")
+        block = views[:, start : start + WINDOW_CHUNK].copy()
         bad = normalize_segments(block).any(axis=0)
         degenerate.append(start + np.flatnonzero(bad))
         index.append(start + np.flatnonzero(~bad))

@@ -44,7 +44,8 @@ class SampleRecord:
     Parameters
     ----------
     channels : ndarray, shape (3, n)
-        Antenna channels in B, C, D order (dimensionless amplitude).
+        Antenna channels in B, C, D order (dimensionless amplitude), held
+        as C-contiguous float64 whatever layout they are given in.
     sample_interval : float
         Seconds per sample, finite and > 0.
     label : str
@@ -56,7 +57,7 @@ class SampleRecord:
     label: str = ""
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.channels, dtype=np.float64))
+        arr = np.atleast_2d(np.ascontiguousarray(self.channels, dtype=np.float64))
         if arr.ndim != 2 or arr.shape[0] != 3:
             raise ValueError(f"expected 3 channels, got shape {arr.shape}")
         if not 0 < self.sample_interval < np.inf:

@@ -9,6 +9,9 @@ as well.
 Regenerate the files only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints, for each file whose bytes change, how many rows changed and in
+which columns.
 """
 
 from __future__ import annotations
@@ -180,7 +183,59 @@ def test_ccwd_map_matches_golden_on_foreign_blas_cores(foreign_maps, core, name)
     assert (foreign_maps[core] / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} under {core}"
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def describe_change(old: str, new: str) -> str:
+    """The rows two versions of a golden table differ in, and the columns:
+    named by the table's header line, or numbered when (as in a record CSV)
+    the first line after the ``#`` comments is already a sample row."""
+    def split(text):
+        lines = text.splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        header = rows.pop(0) if rows and not all(map(_is_number, rows[0])) else None
+        return [line for line in lines if line.startswith("#")], header, rows
+
+    (old_comments, old_header, old_rows), (new_comments, header, new_rows) = split(old), split(new)
+    changed = [(a, b) for a, b in zip(old_rows, new_rows) if a != b]
+    columns = sorted({i for a, b in changed for i in range(max(len(a), len(b)))
+                      if i >= min(len(a), len(b)) or a[i] != b[i]})
+    names = [header[i] if header and i < len(header) else f"column {i + 1}" for i in columns]
+    parts = [f"{len(changed)} of {len(new_rows)} rows changed" + (f", in {', '.join(names)}" if names else "")]
+    if len(old_rows) != len(new_rows):
+        parts.append(f"row count {len(old_rows)} -> {len(new_rows)}")
+    if old_header != header:
+        parts.append("header line changed")
+    if old_comments != new_comments:
+        parts.append("comment lines changed")
+    return "; ".join(parts)
+
+
+def test_regeneration_names_the_changed_rows_and_columns():
+    old = "# cc = ccwd\nwindow_index,peak_coeff,valid\n0,0.5,1\n1,0.25,1\n"
+    assert describe_change(old, old.replace("0.25", "0.2500000000000001")) == "1 of 2 rows changed, in peak_coeff"
+    assert describe_change("# dt=4e-09\n1.0,2.0,3.0\n", "# dt=4e-09\n1.0,2.5,3.0\n4.0,5.0,6.0\n") == (
+        "1 of 2 rows changed, in column 2; row count 1 -> 2")
+    assert describe_change(old, old.replace("ccwd", "cctd")) == "0 of 2 rows changed; comment lines changed"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    before = {name: (GOLDEN / name).read_text() for name in OUTPUTS if (GOLDEN / name).exists()}
     produce(GOLDEN)
+    unchanged = 0
+    for name in OUTPUTS:
+        after = (GOLDEN / name).read_text()
+        if name not in before:
+            print(f"{name}: new file")
+        elif after != before[name]:
+            print(f"{name}: {describe_change(before[name], after)}")
+        else:
+            unchanged += 1
+    print(f"{unchanged} of {len(OUTPUTS)} files unchanged")
     sys.exit(0)

@@ -12,7 +12,7 @@ from itfmap.pipeline import (
     MapResult, PipelineConfig, WindowPeaks, correlate_window, map_record, read_map_csv, solve_directions, window_peaks,
     write_map_csv,
 )
-from itfmap.signals import SampleRecord, SegmentationPlan, normalize_window, segment
+from itfmap.signals import SampleRecord, SegmentationPlan, load_record, normalize_window, save_record, segment
 from itfmap.simulate import make_track, synthesize_record
 from itfmap.xcorr import InterpSpec
 
@@ -104,7 +104,8 @@ class TestMapRecord:
 
 def gaps_record(layout="C"):
     """A noisy 220-sample record with one NaN sample in B and one constant
-    stretch in D, its channels in C or Fortran (CSV-loaded) memory order."""
+    stretch in D, its channels handed to `SampleRecord` in C or Fortran
+    memory order (which it stores C-contiguous either way)."""
     sim = fixture_sim(n_win=40, W=64, hop=4)
     channels = simulate.add_record_noise(sim.record, 20.0, seed=4).channels.copy()
     channels[0, 30] = np.nan
@@ -175,6 +176,65 @@ class TestWindowChunks:
             tracemalloc.stop()
         assert res.total_windows == n
         assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def result_bits(res: MapResult) -> list:
+    """Every field of a MapResult as bytes (arrays) or repr (scalars)."""
+    return [(v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else repr(v) for v in vars(res).values()]
+
+
+def layouts(channels: np.ndarray) -> dict[str, np.ndarray]:
+    """The same samples as a C-order copy, a Fortran-order copy (the layout
+    ``np.array(rows).T`` gives) and a strided slice of a wider array."""
+    wide = np.zeros((3, 2 * channels.shape[1]))
+    wide[:, 1::2] = channels
+    return {"C": channels.copy(order="C"), "F": np.asfortranarray(channels), "strided": wide[:, 1::2]}
+
+
+class TestRecordLayout:
+    """A map depends on the samples and the settings, never on the memory
+    layout the record's channels arrive in."""
+
+    def test_record_channels_are_c_contiguous_in_every_layout(self):
+        channels = np.random.default_rng(3).normal(size=(3, 50))
+        for name, arr in layouts(channels).items():
+            rec = SampleRecord(arr, DT)
+            assert rec.channels.flags.c_contiguous and rec.channels.dtype == np.float64, name
+            np.testing.assert_array_equal(rec.channels, channels)
+
+    @pytest.mark.parametrize("fmt", [".csv", ".bin"])
+    def test_loaded_channels_are_c_contiguous(self, tmp_path, fmt):
+        rec = SampleRecord(np.random.default_rng(3).normal(size=(3, 50)), DT)
+        assert load_record(save_record(rec, tmp_path / f"rec{fmt}")).channels.flags.c_contiguous
+
+    @pytest.mark.parametrize("spec", [None, "wt-sym4-sure"])
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    def test_map_is_the_same_in_every_layout(self, tmp_path, method, spec):
+        sim = fixture_sim(n_win=40, W=64, hop=4)
+        channels = simulate.add_record_noise(sim.record, 20.0, seed=4).channels
+        cfg = PipelineConfig(filter_spec=spec, cc_method=method, interp=InterpSpec("cubic", 8),
+                             plan=SegmentationPlan(64, 1), geometry=G)
+        bits, csv = {}, {}
+        for name, arr in layouts(channels).items():
+            res = map_record(SampleRecord(arr, DT), cfg)
+            bits[name] = result_bits(res)
+            csv[name] = write_map_csv(res, tmp_path / f"{name}.csv").read_bytes()
+        assert bits["F"] == bits["C"] and bits["strided"] == bits["C"]
+        assert csv["F"] == csv["C"] and csv["strided"] == csv["C"]
+
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    def test_a_csv_record_maps_as_the_in_memory_record_bench_scores(self, tmp_path, method):
+        """CSV samples are written with repr, so they round-trip exactly and
+        `map` of the file scores the same bits as `bench` of the record."""
+        sim = fixture_sim(n_win=60, W=128, hop=1)
+        record = simulate.add_record_noise(sim.record, 20.0, seed=11)
+        loaded = load_record(save_record(record, tmp_path / "rec.csv"))
+        np.testing.assert_array_equal(loaded.channels, record.channels)
+        cfg = PipelineConfig(cc_method=method, interp=InterpSpec("cubic", 8), plan=SegmentationPlan(128, 1),
+                             geometry=G)
+        from_file = write_map_csv(map_record(loaded, cfg), tmp_path / "file.csv").read_bytes()
+        in_memory = write_map_csv(map_record(record, cfg), tmp_path / "memory.csv").read_bytes()
+        assert from_file == in_memory
 
 
 class TestSolveDirections:
