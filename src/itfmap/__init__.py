@@ -6,7 +6,7 @@ from itfmap.geometry import ArrayGeometry, DirectionEstimate, direction_from_tdo
 from itfmap.signals import SampleRecord, SegmentationPlan, Window, load_record, normalize_window, save_record, segment
 from itfmap.simulate import AngleTrack, AugmentSpec, SimulatedRecord, add_awgn, augment_track, make_track, synthesize_record
 from itfmap.xcorr import CorrelationSeries, InterpSpec, cc_freq, cc_time, cc_wavelet, refine_peak
-from itfmap.evaluate import BenchmarkGrid, ErrorReport, map_error, run_benchmark
+from itfmap.evaluate import map_error, run_benchmark
 from itfmap.pipeline import MapResult, PipelineConfig, map_record
 
 __version__ = "0.1.0"
@@ -15,10 +15,8 @@ __all__ = [
     "AngleTrack",
     "ArrayGeometry",
     "AugmentSpec",
-    "BenchmarkGrid",
     "CorrelationSeries",
     "DirectionEstimate",
-    "ErrorReport",
     "InterpSpec",
     "MapResult",
     "PipelineConfig",

@@ -24,7 +24,6 @@ import numpy as np
 
 from itfmap import evaluate, geometry, pipeline, signals, simulate
 from itfmap.denoise import parse_filter_spec
-from itfmap.evaluate import BenchmarkGrid
 from itfmap.geometry import ArrayGeometry
 from itfmap.signals import SIGNAL_BAND, SegmentationPlan, load_record, record_format, save_record
 from itfmap.simulate import AugmentSpec
@@ -146,19 +145,15 @@ def _config_guard():
 
 
 def _pipeline_config(
-    cfg: dict, default_hop: int = signals.DEFAULT_HOP, grid: BenchmarkGrid | None = None,
-    n_windows: int = 1, n_records: int = 1, synthesis: bool = False,
+    cfg: dict, default_hop: int = signals.DEFAULT_HOP, n_windows: int | None = None
 ) -> tuple[pipeline.PipelineConfig, float]:
     """The run configuration and the sample interval (s) from the merged
-    settings; any bad value exits 3, as does a window or record count below
-    1, a sample interval or record of `n_windows` windows that a filter or
-    correlation method of `grid`, when the run sweeps one, cannot take, or in
-    `synthesis` a baseline transit above `simulate.MAX_DELAY_SAMPLES`."""
+    settings; any bad value exits 3.  A run that synthesizes `n_windows`
+    windows also exits 3 for a window count below 1 or a baseline transit
+    above `simulate.MAX_DELAY_SAMPLES`."""
     with _config_guard():
-        if n_windows < 1:
+        if n_windows is not None and n_windows < 1:
             raise ValueError(f"window count must be at least 1, got {n_windows}")
-        if n_records < 1:
-            raise ValueError(f"record count must be at least 1, got {n_records}")
         dt = cfg["dt_ns"] * 1e-9 if "dt_ns" in cfg else signals.DEFAULT_SAMPLE_INTERVAL
         if not 0 < dt < np.inf:
             raise ValueError(f"sample interval must be finite and > 0, got {cfg['dt_ns']} ns")
@@ -168,7 +163,7 @@ def _pipeline_config(
         geom = ArrayGeometry(
             d=cfg.get("baseline_m", geometry.DEFAULT_BASELINE_M), c=cfg.get("c", geometry.SPEED_OF_LIGHT)
         )
-        if synthesis and not geom.transit_time / dt <= simulate.MAX_DELAY_SAMPLES:
+        if n_windows is not None and not geom.transit_time / dt <= simulate.MAX_DELAY_SAMPLES:
             raise ValueError(f"baseline transit of {geom.transit_time / dt:.3g} samples; synthesis "
                              f"pads a window by at most {simulate.MAX_DELAY_SAMPLES}")
         config = pipeline.PipelineConfig(
@@ -178,10 +173,6 @@ def _pipeline_config(
             plan=plan,
             geometry=geom,
         )
-        if grid is not None:
-            length = (n_windows - 1) * plan.hop + plan.window_length
-            for filter_id, method in itertools.product(grid.filters, grid.methods):
-                replace(config, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt, length)
     return config, dt
 
 
@@ -206,15 +197,14 @@ def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
 
 
 def _synthesize(
-    track: simulate.AngleTrack, config: pipeline.PipelineConfig, dt: float,
+    track: simulate.AngleTrack, geom: ArrayGeometry, dt: float,
     seed: int, noise_seed: int, snr_db: float | None,
 ) -> simulate.SimulatedRecord:
     """The record `simulate` writes and `bench` scores: a reference waveform
-    seeded by `seed`, delayed along `track` onto the array of `config`, plus
-    AWGN at `snr_db` seeded by `noise_seed` unless `snr_db` is None."""
-    window, hop = config.plan.window_length, config.plan.hop
-    ref = _reference_waveform((len(track) - 1) * hop + window, dt, seed)
-    sim = simulate.synthesize_record(ref, track, config.geometry, window, hop, dt=dt)
+    seeded by `seed`, delayed along `track` onto `geom`, plus AWGN at
+    `snr_db` seeded by `noise_seed` unless `snr_db` is None."""
+    ref = _reference_waveform((len(track) - 1) * track.hop + track.window_length, dt, seed)
+    sim = simulate.synthesize_record(ref, track, geom, dt=dt)
     if snr_db is None:
         return sim
     return replace(sim, record=simulate.add_record_noise(sim.record, snr_db, seed=noise_seed))
@@ -225,7 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
     n_windows = cfg.get("windows", 200)
-    config, dt = _pipeline_config(cfg, n_windows=n_windows, synthesis=True)
+    config, dt = _pipeline_config(cfg, n_windows=n_windows)
     seed = cfg.get("seed", 0)
     with _config_guard():  # nothing is synthesized or written for a bad setting
         record_format(out, cfg.get("format"))
@@ -252,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     seed=seed,
                 ),
             )
-    sim = _synthesize(track, config, dt, seed, seed, cfg.get("snr_db"))
+    sim = _synthesize(track, config.geometry, dt, seed, seed, cfg.get("snr_db"))
     try:
         save_record(sim.record, out, cfg.get("format"))
         simulate.save_truth(sim, out.with_suffix(out.suffix + ".truth.csv"))
@@ -307,16 +297,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """run the benchmark grid on simulated records"""
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
-    grid = BenchmarkGrid()
     n_records = cfg.get("records", 2)
     n_windows = cfg.get("record_windows", 120)
-    base, dt = _pipeline_config(cfg, default_hop=16, grid=grid, n_windows=n_windows, n_records=n_records, synthesis=True)
+    base, dt = _pipeline_config(cfg, default_hop=16, n_windows=n_windows)
     seed = cfg.get("seed", 0)
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs
     snr_db = cfg.get("snr_db", 20.0)
-    with _config_guard():
+    with _config_guard():  # nothing is synthesized for a bad setting
+        if n_records < 1:
+            raise ValueError(f"record count must be at least 1, got {n_records}")
         simulate.snr_power_ratio(snr_db)
+        length = (n_windows - 1) * base.plan.hop + base.plan.window_length
+        for filter_id, method in itertools.product(evaluate.FILTERS, evaluate.METHODS):
+            replace(base, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt, length)
     datasets = []
     for ri in range(n_records):
         # record 0 is the record `simulate` writes with the same seed,
@@ -327,19 +321,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
             az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
             window_length=base.plan.window_length, hop=base.plan.hop,
         )
-        datasets.append(_synthesize(track, base, dt, seed + 7 * ri, seed + ri, snr_db))
-    report = evaluate.run_benchmark(grid, datasets, base)
+        datasets.append(_synthesize(track, base.geometry, dt, seed + 7 * ri, seed + ri, snr_db))
+    cells = evaluate.run_benchmark(datasets, base)
     try:
-        evaluate.emit_report_csv(report, out, _config_comments(cfg))
+        evaluate.emit_report_csv(cells, out, _config_comments(cfg))
         if cfg.get("markdown"):
-            evaluate.emit_report_markdown(report, Path(cfg["markdown"]))
+            evaluate.emit_report_markdown(cells, Path(cfg["markdown"]))
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
-    scored = [c for c in report.cells if np.isfinite(c.mean_dist_deg)]
+    scored = [c for c in cells if np.isfinite(c.mean_dist_deg)]
     best = min(scored, key=lambda c: c.mean_dist_deg) if scored else None
     summary = (f"best {best.filter_id}/{best.method}/{best.interp_method} x{best.factor} "
                f"= {best.mean_dist_deg:.2f} deg") if best else "no cell was scored"
-    print(f"wrote {out}: {len(report.cells)} cells; {summary}")
+    print(f"wrote {out}: {len(cells)} cells; {summary}")
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ to (-180, 180] before squaring so the 0/360 seam does not inflate scores.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +66,10 @@ def map_error(estimated: AngleTrack, truth: AngleTrack) -> float:
 
 
 # ----------------------------------------------------------------------
-# Benchmark grid
+# Benchmark grid: the paper's one fixed comparison, 10 x 3 x 2 x 4 cells
 # ----------------------------------------------------------------------
 
-DEFAULT_FILTERS = (
+FILTERS = (
     "wt-coif5-sure",
     "wt-coif5-universal",
     "wt-db10-sure",
@@ -80,27 +81,9 @@ DEFAULT_FILTERS = (
     "bpf",
     "kf",
 )
-DEFAULT_METHODS = ("cctd", "ccfd", "ccwd")
-DEFAULT_INTERP_METHODS = ("linear", "cubic")
-DEFAULT_FACTORS = (1, 2, 4, 8)
-
-
-@dataclass(frozen=True)
-class BenchmarkGrid:
-    """The sweep axes; defaults reproduce the 10 x 3 x 2 x 4 layout."""
-
-    filters: tuple[str, ...] = DEFAULT_FILTERS
-    methods: tuple[str, ...] = DEFAULT_METHODS
-    interp_methods: tuple[str, ...] = DEFAULT_INTERP_METHODS
-    factors: tuple[int, ...] = DEFAULT_FACTORS
-
-    def __post_init__(self):
-        if not (self.filters and self.methods and self.interp_methods and self.factors):
-            raise ValueError("every grid dimension must be non-empty")
-
-    @property
-    def cells(self) -> int:
-        return len(self.filters) * len(self.methods) * len(self.interp_methods) * len(self.factors)
+METHODS = ("cctd", "ccfd", "ccwd")
+INTERP_METHODS = ("linear", "cubic")
+FACTORS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -114,29 +97,9 @@ class CellResult:
     excluded_windows: int
 
 
-@dataclass
-class ErrorReport:
-    grid: BenchmarkGrid
-    cells: list[CellResult] = field(default_factory=list)
-
-    def cell(self, filter_id: str, method: str, interp_method: str, factor: int) -> CellResult:
-        for c in self.cells:
-            if (c.filter_id, c.method, c.interp_method, c.factor) == (
-                filter_id,
-                method,
-                interp_method,
-                factor,
-            ):
-                return c
-        raise KeyError((filter_id, method, interp_method, factor))
-
-
-def run_benchmark(
-    grid: BenchmarkGrid,
-    datasets: list[SimulatedRecord],
-    base_config: PipelineConfig | None = None,
-) -> ErrorReport:
-    """Score every grid cell on every dataset.
+def run_benchmark(datasets: list[SimulatedRecord], base_config: PipelineConfig | None = None) -> list[CellResult]:
+    """Score every grid cell on every dataset; the cells come in report
+    order, filter by filter, then method, interpolation method and factor.
 
     Per dataset and filter the denoised record is computed once, and its
     windows are normalized once per block for every correlation method; per
@@ -144,59 +107,47 @@ def run_benchmark(
     refined together, and one geometry solve per distinct lag pair.  Every
     cell value equals a full independent pipeline run (purity makes the
     caching invisible).
-    Distances are averaged per record first, then across records.
+    Distances are averaged per record first, then across records; a record
+    with no window valid on both sides goes unscored.
     """
     if not datasets:
         raise ValueError("benchmark needs at least one dataset")
+    base = base_config or PipelineConfig()
     for ds in datasets:
         if ds.truth is None:
             raise ValueError("benchmark datasets must carry ground truth")
-    base = base_config or PipelineConfig()
-    report = ErrorReport(grid=grid)
+        n_windows = base.plan.count(ds.record.length)
+        if len(ds.truth) != n_windows:
+            raise ValueError(f"ground truth of {len(ds.truth)} windows for a record of {n_windows}")
 
-    # (interp method, factor) -> spec; every x1 cell is the same spec, the
-    # integer peak, so each distinct spec is refined and scored once
-    cell_specs = {(im, fa): InterpSpec(method=im, factor=fa) for im in grid.interp_methods for fa in grid.factors}
-    specs = list(dict.fromkeys(cell_specs.values()))
-    # cell accumulators: (filter, method, imethod, factor) -> per-record stats
-    acc: dict[tuple[str, str, str, int], list[ErrorStats]] = {
-        (f, m, im, fa): [] for f in grid.filters for m in grid.methods for im, fa in cell_specs
-    }
-
-    for ds in datasets:
-        dt = ds.record.sample_interval
-        for filter_id in grid.filters:
-            spec = parse_filter_spec(filter_id)
-            peaks = window_peaks(denoise_record(ds.record, spec), base, grid.methods)
+    # every x1 cell is the same spec, the integer peak, so each distinct spec
+    # is refined and scored once
+    specs = list(dict.fromkeys(InterpSpec(im, fa) for im in INTERP_METHODS for fa in FACTORS))
+    cells = []
+    for filter_id in FILTERS:
+        spec = parse_filter_spec(filter_id)
+        # method -> interp spec -> per-record stats
+        stats: dict[str, dict[InterpSpec, list[ErrorStats]]] = {m: {s: [] for s in specs} for m in METHODS}
+        for ds in datasets:
+            peaks = window_peaks(denoise_record(ds.record, spec), base, METHODS)
             for method, wp in peaks.items():
-                scores = {}
-                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), base, dt)
+                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), base, ds.record.sample_interval)
                 for interp, result in zip(specs, results):
                     try:
-                        scores[interp] = map_error_stats(result.track(), ds.truth)
-                    except ValueError:
-                        # every window gate-failed for this record: the
-                        # cell still reports, with the record unscored
-                        scores[interp] = ErrorStats(
-                            mean_deg=float("nan"), included=0, excluded=wp.total_windows
-                        )
-                for (interp_method, factor), interp in cell_specs.items():
-                    acc[(filter_id, method, interp_method, factor)].append(scores[interp])
-
-    for (filter_id, method, interp_method, factor), stats_list in acc.items():
-        scored = [s.mean_deg for s in stats_list if s.included > 0]
-        report.cells.append(
-            CellResult(
-                filter_id=filter_id,
-                method=method,
-                interp_method=interp_method,
-                factor=factor,
+                        record_stats = map_error_stats(result.track(), ds.truth)
+                    except ValueError:  # no window valid on both sides
+                        record_stats = ErrorStats(mean_deg=float("nan"), included=0, excluded=len(ds.truth))
+                    stats[method][interp].append(record_stats)
+        for method, interp_method, factor in itertools.product(METHODS, INTERP_METHODS, FACTORS):
+            per_record = stats[method][InterpSpec(interp_method, factor)]
+            scored = [s.mean_deg for s in per_record if s.included > 0]
+            cells.append(CellResult(
+                filter_id, method, interp_method, factor,
                 mean_dist_deg=float(np.mean(scored)) if scored else float("nan"),
                 records=len(scored),
-                excluded_windows=int(sum(s.excluded for s in stats_list)),
-            )
-        )
-    return report
+                excluded_windows=sum(s.excluded for s in per_record),
+            ))
+    return cells
 
 
 # ----------------------------------------------------------------------
@@ -206,34 +157,25 @@ def run_benchmark(
 REPORT_CSV_HEADER = "filter,method,interp,factor,mean_dist_deg,records,excluded_windows"
 
 
-def emit_report_csv(report: ErrorReport, path: str | Path, header_comments: Sequence[str] = ()) -> Path:
+def emit_report_csv(cells: Sequence[CellResult], path: str | Path, header_comments: Sequence[str] = ()) -> Path:
     rows = (
         f"{c.filter_id},{c.method},{c.interp_method},{c.factor},{c.mean_dist_deg:.6f},{c.records},{c.excluded_windows}"
-        for c in report.cells
+        for c in cells
     )
     return write_table(path, REPORT_CSV_HEADER, rows, header_comments)
 
 
-def emit_report_markdown(report: ErrorReport, path: str | Path) -> Path:
-    """Render the sweep in the benchmark-table layout: one row per filter,
-    method/interp/factor combinations as columns."""
-    path = Path(path)
-    grid = report.grid
-    cols = [
-        (m, im, fa)
-        for m in grid.methods
-        for im in grid.interp_methods
-        for fa in grid.factors
-    ]
-    head1 = "| filter | " + " | ".join(f"{m.upper()} {im} x{fa}" for m, im, fa in cols) + " |"
-    sep = "|" + "---|" * (len(cols) + 1)
-    lines = [head1, sep]
-    for f in grid.filters:
-        row = [f]
-        for m, im, fa in cols:
-            v = report.cell(f, m, im, fa).mean_dist_deg
-            row.append("-" if np.isnan(v) else f"{v:.2f}")
+def emit_report_markdown(cells: Sequence[CellResult], path: str | Path) -> Path:
+    """Render `run_benchmark`'s cells in the benchmark-table layout: one row
+    per filter, its method/interp/factor combinations as columns."""
+    per_filter = len(METHODS) * len(INTERP_METHODS) * len(FACTORS)
+    head = [f"{c.method.upper()} {c.interp_method} x{c.factor}" for c in cells[:per_filter]]
+    lines = ["| filter | " + " | ".join(head) + " |", "|" + "---|" * (per_filter + 1)]
+    for i in range(0, len(cells), per_filter):
+        row = [cells[i].filter_id] + ["-" if np.isnan(c.mean_dist_deg) else f"{c.mean_dist_deg:.2f}"
+                                      for c in cells[i : i + per_filter]]
         lines.append("| " + " | ".join(row) + " |")
+    path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -169,12 +169,10 @@ def synthesize_record(
     reference: np.ndarray,
     track: AngleTrack,
     geom: ArrayGeometry | None = None,
-    window_length: int | None = None,
-    hop: int | None = None,
     dt: float = 4e-9,
-    label: str = "simulated",
 ) -> SimulatedRecord:
-    """Build the three-channel record for a ground-truth track.
+    """Build the three-channel record for a ground-truth track, windowed
+    as the track is.
 
     Channel B is the reference as-is.  For window i the per-window delays
     (tau1, tau2) follow from the track angles; the C (BC baseline) and D
@@ -185,8 +183,7 @@ def synthesize_record(
     samples of C and D that no window covers are zero.
     """
     geom = geom or ArrayGeometry()
-    w = window_length or track.window_length
-    h = hop or track.hop
+    w, h = track.window_length, track.hop
     n_win = len(track)
     needed = (n_win - 1) * h + w
     ref = np.asarray(reference, dtype=np.float64)
@@ -221,12 +218,10 @@ def synthesize_record(
     record = SampleRecord(
         channels=np.vstack([ref, chan_c, chan_d]),
         sample_interval=dt,
-        label=label,
+        label="simulated",
     )
-    out_track = AngleTrack(
-        track.az_deg.copy(), track.el_deg.copy(), window_length=w, hop=h, valid=track.valid.copy()
-    )
-    return SimulatedRecord(record=record, truth=out_track, tau1_s=tau1, tau2_s=tau2)
+    truth = AngleTrack(track.az_deg.copy(), track.el_deg.copy(), window_length=w, hop=h, valid=track.valid.copy())
+    return SimulatedRecord(record=record, truth=truth, tau1_s=tau1, tau2_s=tau2)
 
 
 def snr_power_ratio(snr_db: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from itfmap import evaluate, pipeline, simulate, wavelets
 from itfmap.cli import _reference_waveform, main
 from itfmap.denoise import DEFAULT_BAND, bandpass_filter, kalman_filter
-from itfmap.evaluate import BenchmarkGrid, map_error, run_benchmark
+from itfmap.evaluate import map_error, run_benchmark
 from itfmap.geometry import ArrayGeometry, direction_from_tdoa, tdoa_from_direction
 from itfmap.signals import SegmentationPlan
 from itfmap.simulate import AngleTrack
@@ -73,7 +73,7 @@ def test_criterion_3_noise_free_closed_loop(criterion_reporter):
     )
     ref = _reference_waveform(n_ref, DT, seed=3)
     t0 = time.perf_counter()
-    sim = simulate.synthesize_record(ref, track, geom, W, hop, dt=DT)
+    sim = simulate.synthesize_record(ref, track, geom, dt=DT)
     plan = SegmentationPlan(W, hop)
     dists = {}
     for label, interp in (("factor1", InterpSpec()), ("cubic8", InterpSpec("cubic", 8))):
@@ -106,14 +106,13 @@ def test_criterion_4_full_grid_completes(tmp_path, criterion_reporter):
             el_range=(15.0, 70.0), window_length=W, hop=hop,
         )
         ref = _reference_waveform((n_win - 1) * hop + W, DT, seed=50 + ri)
-        sim = simulate.synthesize_record(ref, track, geom, W, hop, dt=DT)
+        sim = simulate.synthesize_record(ref, track, geom, dt=DT)
         rec = simulate.add_record_noise(sim.record, 20.0, seed=60 + ri)
         datasets.append(simulate.SimulatedRecord(rec, sim.truth, sim.tau1_s, sim.tau2_s))
-    grid = BenchmarkGrid()
     base = pipeline.PipelineConfig(plan=plan, geometry=geom)
-    report_obj = run_benchmark(grid, datasets, base)
-    csv_path = evaluate.emit_report_csv(report_obj, tmp_path / "grid.csv")
-    md_path = evaluate.emit_report_markdown(report_obj, tmp_path / "grid.md")
+    cells = run_benchmark(datasets, base)
+    csv_path = evaluate.emit_report_csv(cells, tmp_path / "grid.csv")
+    md_path = evaluate.emit_report_markdown(cells, tmp_path / "grid.md")
     elapsed = time.perf_counter() - t0
     md_lines = [l for l in md_path.read_text().splitlines() if l.startswith("|")]
     data_rows = [
@@ -121,15 +120,14 @@ def test_criterion_4_full_grid_completes(tmp_path, criterion_reporter):
         if l and not l.startswith("#") and not l.startswith("filter,")
     ]
     ok = (
-        grid.cells == 240
-        and len(report_obj.cells) == 240
+        len(cells) == 240
         and len(data_rows) == 240
         and len(md_lines) == 2 + 10
         and elapsed < 900.0
     )
     report(criterion_reporter, 4,
         ok,
-        f"benchmark grid 10x3x2x4 = {len(report_obj.cells)} cells over 2 records "
+        f"benchmark grid 10x3x2x4 = {len(cells)} cells over 2 records "
         f"in {elapsed:.1f} s (gate 900 s); table layout rows = {len(md_lines) - 2}",
     )
     assert ok
@@ -150,7 +148,7 @@ def test_criterion_5_ccwd_directional_claim(criterion_reporter):
             window_length=W, hop=hop,
         )
         ref = _reference_waveform(n_ref, DT, seed=100 + seed)
-        sim = simulate.synthesize_record(ref, track, geom, W, hop, dt=DT)
+        sim = simulate.synthesize_record(ref, track, geom, dt=DT)
         noisy = simulate.add_record_noise(sim.record, 10.0, seed=200 + seed)
         dist = {}
         for method in ("cctd", "ccwd"):

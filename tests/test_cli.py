@@ -372,9 +372,9 @@ class TestBenchCommand:
     def test_record_zero_is_the_simulate_record(self, tmp_path, monkeypatch):
         caught = []
 
-        def catch(grid, datasets, base):
+        def catch(datasets, base):
             caught.extend(datasets)
-            return evaluate.ErrorReport(grid=grid)
+            return []
 
         monkeypatch.setattr(evaluate, "run_benchmark", catch)
         synthesis = ["--window", "64", "--hop", "16", "--seed", "5", "--snr-db", "12"]
@@ -433,13 +433,9 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("all_nan", [False, True])
     def test_best_line_ignores_nan_cells(self, tmp_path, capsys, monkeypatch, all_nan):
-        def fake_run_benchmark(grid, datasets, base):
-            report = evaluate.ErrorReport(grid=grid)
-            for k, dist in enumerate([float("nan"), 7.5, 2.25, 4.0]):
-                if all_nan:
-                    dist = float("nan")
-                report.cells.append(evaluate.CellResult("bpf", "cctd", "cubic", 2 ** k, dist, 0, 0))
-            return report
+        def fake_run_benchmark(datasets, base):
+            dists = [float("nan")] * 4 if all_nan else [float("nan"), 7.5, 2.25, 4.0]
+            return [evaluate.CellResult("bpf", "cctd", "cubic", 2 ** k, dist, 0, 0) for k, dist in enumerate(dists)]
 
         monkeypatch.setattr(evaluate, "run_benchmark", fake_run_benchmark)
         assert run("bench", "--output", str(tmp_path / "r.csv"), "--window", "64",

@@ -13,7 +13,7 @@ from itfmap.denoise import (
     parse_filter_spec,
     wavelet_denoise,
 )
-from itfmap.evaluate import DEFAULT_FILTERS
+from itfmap.evaluate import FILTERS
 from itfmap.wavelets import get_basis
 
 DT = 4e-9
@@ -193,7 +193,7 @@ class TestCheckInput:
 
 
 class TestFilterSpecs:
-    @pytest.mark.parametrize("text", [*DEFAULT_FILTERS, "bpf-hw", "none"])
+    @pytest.mark.parametrize("text", [*FILTERS, "bpf-hw", "none"])
     def test_parse_and_label_roundtrip(self, text):
         assert filter_label(parse_filter_spec(text)) == text
 

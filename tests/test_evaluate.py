@@ -1,11 +1,18 @@
 """Error metric unit cases and the benchmark sweep machinery."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from itfmap import evaluate, pipeline, simulate
+from itfmap.denoise import parse_filter_spec
 from itfmap.evaluate import (
-    BenchmarkGrid,
+    FACTORS,
+    FILTERS,
+    INTERP_METHODS,
+    METHODS,
     emit_report_csv,
     emit_report_markdown,
     load_report_csv,
@@ -17,6 +24,7 @@ from itfmap.evaluate import (
 from itfmap.geometry import ArrayGeometry
 from itfmap.signals import SegmentationPlan
 from itfmap.simulate import AngleTrack
+from itfmap.xcorr import InterpSpec
 
 G3 = ArrayGeometry(d=15.0, c=3e8)
 
@@ -85,106 +93,90 @@ def tiny_dataset(seed=0, n_win=40, W=64, hop=8):
         ref += rng.uniform(0.5, 1) * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
     ref /= np.abs(ref).max()
     tr = simulate.make_track("random-walk", n_win, seed=seed, el_range=(20, 60), window_length=W, hop=hop)
-    return simulate.synthesize_record(ref, tr, G3, W, hop, dt=dt)
+    return simulate.synthesize_record(ref, tr, G3, dt=dt)
+
+
+BASE = pipeline.PipelineConfig(plan=SegmentationPlan(64, 8), geometry=G3)
+GRID = list(itertools.product(FILTERS, METHODS, INTERP_METHODS, FACTORS))
+
+
+@pytest.fixture(scope="module")
+def noisy_dataset():
+    """12 windows of 64 at hop 8, 20 dB."""
+    ds = tiny_dataset(n_win=12)
+    return replace(ds, record=simulate.add_record_noise(ds.record, 20.0, seed=1))
+
+
+@pytest.fixture(scope="module")
+def cells(noisy_dataset):
+    return run_benchmark([noisy_dataset], BASE)
+
+
+def key(c):
+    return c.filter_id, c.method, c.interp_method, c.factor
 
 
 class TestBenchmark:
-    def base(self, W=64, hop=8):
-        return pipeline.PipelineConfig(plan=SegmentationPlan(W, hop), geometry=G3)
+    def test_cells_in_report_order(self, cells):
+        assert len(GRID) == 10 * 3 * 2 * 4 == 240
+        assert [key(c) for c in cells] == GRID
 
-    def test_default_grid_shape(self):
-        grid = BenchmarkGrid()
-        assert grid.cells == 10 * 3 * 2 * 4 == 240
+    def test_every_cell_equals_a_single_run(self, noisy_dataset, cells):
+        ds = noisy_dataset
+        for c in cells:
+            cfg = replace(BASE, filter_spec=parse_filter_spec(c.filter_id), cc_method=c.method,
+                          interp=InterpSpec(c.interp_method, c.factor))
+            res = pipeline.map_record(ds.record, cfg)
+            try:
+                stats = map_error_stats(res.track(), ds.truth)
+            except ValueError:
+                stats = evaluate.ErrorStats(float("nan"), 0, len(ds.truth))
+            expect = (stats.mean_deg, int(stats.included > 0), stats.excluded)
+            got = (c.mean_dist_deg, c.records, c.excluded_windows)
+            assert got == expect or (np.isnan(got[0]) and np.isnan(expect[0]) and got[1:] == expect[1:]), key(c)
+            assert stats.included + stats.excluded == res.total_windows
 
-    def test_empty_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            BenchmarkGrid(filters=())
-
-    def test_degenerate_grid_equals_single_run(self):
-        ds = tiny_dataset()
-        grid = BenchmarkGrid(filters=("bpf",), methods=("cctd",), interp_methods=("cubic",), factors=(8,))
-        report = run_benchmark(grid, [ds], self.base())
-        from itfmap.denoise import parse_filter_spec
-        from itfmap.xcorr import InterpSpec
-
-        cfg = pipeline.PipelineConfig(
-            filter_spec=parse_filter_spec("bpf"),
-            cc_method="cctd",
-            interp=InterpSpec("cubic", 8),
-            plan=SegmentationPlan(64, 8),
-            geometry=G3,
-        )
-        res = pipeline.map_record(ds.record, cfg)
-        expect = map_error(res.track(), ds.truth)
-        assert report.cells[0].mean_dist_deg == pytest.approx(expect, rel=1e-12)
-
-    def test_deterministic_reports(self, tmp_path):
-        ds = tiny_dataset(3)
-        grid = BenchmarkGrid(filters=("bpf", "kf"), methods=("cctd",), interp_methods=("linear",), factors=(1, 2))
-        r1 = run_benchmark(grid, [ds], self.base())
-        r2 = run_benchmark(grid, [ds], self.base())
-        p1 = emit_report_csv(r1, tmp_path / "a.csv")
-        p2 = emit_report_csv(r2, tmp_path / "b.csv")
+    def test_deterministic_reports(self, tmp_path, noisy_dataset, cells):
+        p1 = emit_report_csv(cells, tmp_path / "a.csv")
+        p2 = emit_report_csv(run_benchmark([noisy_dataset], BASE), tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_csv_roundtrip_six_decimals(self, tmp_path):
-        ds = tiny_dataset(4)
-        grid = BenchmarkGrid(filters=("bpf",), methods=("cctd", "ccfd"), interp_methods=("linear",), factors=(1,))
-        report = run_benchmark(grid, [ds], self.base())
-        path = emit_report_csv(report, tmp_path / "r.csv")
-        back = load_report_csv(path)
-        assert len(back) == len(report.cells)
-        for orig, loaded in zip(report.cells, back):
-            assert loaded.mean_dist_deg == pytest.approx(orig.mean_dist_deg, abs=5e-7)
-            assert loaded.filter_id == orig.filter_id
+    def test_csv_roundtrip_six_decimals(self, tmp_path, cells):
+        back = load_report_csv(emit_report_csv(cells, tmp_path / "r.csv"))
+        assert [key(c) for c in back] == GRID
+        for orig, loaded in zip(cells, back):
+            assert loaded.mean_dist_deg == pytest.approx(orig.mean_dist_deg, abs=5e-7, nan_ok=True)
+            assert (loaded.records, loaded.excluded_windows) == (orig.records, orig.excluded_windows)
 
-    def test_csv_row_count_matches_cells(self, tmp_path):
-        ds = tiny_dataset(5)
-        grid = BenchmarkGrid(filters=("bpf", "kf"), methods=("cctd",), interp_methods=("linear", "cubic"), factors=(1, 2))
-        report = run_benchmark(grid, [ds], self.base())
-        lines = emit_report_csv(report, tmp_path / "r.csv").read_text().splitlines()
-        data = [l for l in lines if l and not l.startswith("#") and not l.startswith("filter,")]
-        assert len(data) == 8
+    def test_markdown_layout(self, tmp_path, cells):
+        md = emit_report_markdown(cells, tmp_path / "r.md").read_text().splitlines()
+        assert md[0].startswith("| filter | CCTD linear x1 | CCTD linear x2 |")
+        assert md[0].endswith("| CCWD cubic x8 |")
+        assert [row.split(" | ")[0] for row in md[2:]] == [f"| {f}" for f in FILTERS]
+        assert all(row.count("|") == 26 for row in md)
 
-    def test_markdown_layout(self, tmp_path):
-        ds = tiny_dataset(6)
-        grid = BenchmarkGrid(filters=("bpf", "kf"), methods=("cctd",), interp_methods=("linear",), factors=(1,))
-        report = run_benchmark(grid, [ds], self.base())
-        md = emit_report_markdown(report, tmp_path / "r.md").read_text().splitlines()
-        assert md[0].startswith("| filter |")
-        assert len([l for l in md if l.startswith("|")]) == 2 + 2  # header+sep+2 rows
-
-    def test_factor_one_interp_methods_agree(self):
+    def test_factor_one_interp_methods_agree(self, cells):
         # factor 1 collapses linear and cubic to the integer peak
-        ds = tiny_dataset(7)
-        grid = BenchmarkGrid(filters=("bpf",), methods=("cctd",), interp_methods=("linear", "cubic"), factors=(1,))
-        report = run_benchmark(grid, [ds], self.base())
-        v = [c.mean_dist_deg for c in report.cells]
-        assert v[0] == v[1]
+        by_key = {key(c): c for c in cells}
+        for f, m in itertools.product(FILTERS, METHODS):
+            a, b = by_key[f, m, "linear", 1], by_key[f, m, "cubic", 1]
+            assert repr(a.mean_dist_deg) == repr(b.mean_dist_deg) and a.records == b.records
 
     def test_dataset_without_truth_rejected(self):
-        ds = tiny_dataset(8)
+        ds = tiny_dataset(8, n_win=4)
         broken = simulate.SimulatedRecord(ds.record, None, ds.tau1_s, ds.tau2_s)
         with pytest.raises(ValueError, match="ground truth"):
-            run_benchmark(BenchmarkGrid(filters=("bpf",), methods=("cctd",), interp_methods=("linear",), factors=(1,)), [broken], self.base())
+            run_benchmark([broken], BASE)
 
-    def test_excluded_accounting_matches_direct_run(self):
-        from itfmap.denoise import parse_filter_spec
-        from itfmap.xcorr import InterpSpec
+    def test_misaligned_truth_rejected(self):
+        ds = tiny_dataset(8, n_win=20)
+        truth = AngleTrack(ds.truth.az_deg[:10], ds.truth.el_deg[:10], window_length=64, hop=8)
+        short = replace(ds, truth=truth)
+        with pytest.raises(ValueError, match="ground truth of 10 windows for a record of 20"):
+            run_benchmark([short], BASE)
 
-        ds = tiny_dataset(9)
-        grid = BenchmarkGrid(filters=("bpf",), methods=("cctd",), interp_methods=("linear",), factors=(1,))
-        report = run_benchmark(grid, [ds], self.base())
-        cell = report.cells[0]
-        cfg = pipeline.PipelineConfig(
-            filter_spec=parse_filter_spec("bpf"),
-            cc_method="cctd",
-            interp=InterpSpec(),
-            plan=SegmentationPlan(64, 8),
-            geometry=G3,
-        )
-        res = pipeline.map_record(ds.record, cfg)
-        stats = map_error_stats(res.track(), ds.truth)
-        assert cell.records == 1
-        assert cell.excluded_windows == stats.excluded
-        assert stats.included + stats.excluded == res.total_windows
+    def test_record_with_no_valid_truth_window_goes_unscored(self, noisy_dataset):
+        truth = noisy_dataset.truth
+        blind = replace(noisy_dataset, truth=replace(truth, valid=np.zeros(len(truth), dtype=bool)))
+        for c in run_benchmark([blind], BASE):
+            assert np.isnan(c.mean_dist_deg) and c.records == 0 and c.excluded_windows == len(truth)

@@ -1,10 +1,10 @@
 """Golden outputs: a seeded `simulate` record, its `map` CSV for every
 correlation method and interpolation spec and its ccwd map under four wavelet
 filters, a copy of the record with a NaN sample and a constant stretch mapped
-at hop 3 by every correlation method, and a seeded `bench` report stay
-byte-identical to the files committed under ``tests/golden/``.  The ccwd maps
-stay so under OpenBLAS kernels forced to other CPUs' (``OPENBLAS_CORETYPE``)
-as well.
+at hop 3 by every correlation method, and a seeded `bench` report, as CSV and
+as markdown table, stay byte-identical to the files committed under
+``tests/golden/``.  The ccwd maps stay so under OpenBLAS kernels forced to
+other CPUs' (``OPENBLAS_CORETYPE``) as well.
 
 Regenerate the files only when an output is meant to change:
 
@@ -51,7 +51,7 @@ def map_name(cc: str, interp: str) -> str:
 
 
 OUTPUTS = (
-    [RECORD, RECORD + ".truth.csv", "bench.csv"]
+    [RECORD, RECORD + ".truth.csv", "bench.csv", "bench.md"]
     + [map_name(cc, interp) for cc in CC_METHODS for interp in INTERPS]
     + [GAPS] + [f"map-gaps-{cc}.csv" for cc in CC_METHODS]
     + [f"map-{spec}-ccwd.csv" for spec in WT_FILTERS]
@@ -94,6 +94,10 @@ def produce(workdir: Path) -> None:
         for _, argv in map_runs():
             assert main(argv) == EXIT_OK
         assert main(["bench", "--output", "bench.csv", *BENCH]) == EXIT_OK
+        # a second run for the markdown table: its path would join bench.csv's
+        # settings comments
+        assert main(["bench", "--output", "bench-md.csv", "--markdown", "bench.md", *BENCH]) == EXIT_OK
+        Path("bench-md.csv").unlink()
     finally:
         os.chdir(here)
 

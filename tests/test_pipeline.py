@@ -29,7 +29,7 @@ def fixture_sim(n_win=120, W=128, hop=8, seed=0, el_range=(20.0, 65.0)):
         ref += rng.uniform(0.5, 1) * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
     ref /= np.abs(ref).max()
     tr = make_track("random-walk", n_win, seed=seed, el_range=el_range, window_length=W, hop=hop)
-    return synthesize_record(ref, tr, G, W, hop, dt=DT)
+    return synthesize_record(ref, tr, G, dt=DT)
 
 
 class TestMapRecord:
@@ -55,7 +55,7 @@ class TestMapRecord:
         assert len(res.window_index) == 0
         assert len(res.degenerate_windows) == res.total_windows
 
-    @pytest.mark.parametrize("spec", [*evaluate.DEFAULT_FILTERS, "bpf-hw", None])
+    @pytest.mark.parametrize("spec", [*evaluate.FILTERS, "bpf-hw", None])
     @pytest.mark.parametrize("record", ["d-constant", "all-ones"])
     def test_a_constant_channel_degenerates_under_every_filter(self, spec, record):
         """A channel whose samples are all equal passes its filter unchanged,
@@ -159,7 +159,7 @@ class TestWindowChunks:
         base = PipelineConfig(plan=SegmentationPlan(64, 16), geometry=G)
 
         def cells():
-            return [repr(c) for c in evaluate.run_benchmark(evaluate.BenchmarkGrid(), datasets, base).cells]
+            return [repr(c) for c in evaluate.run_benchmark(datasets, base)]
 
         expected = cells()
         monkeypatch.setattr(pipeline, "WINDOW_CHUNK", 1)

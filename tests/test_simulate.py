@@ -121,7 +121,7 @@ class TestAugmentTrack:
 class TestSynthesize:
     def test_zenith_channels_identical(self):
         tr = make_track("constant", 8, az0=77.0, el0=90.0, window_length=64, hop=8)
-        sim = synthesize_record(reference(120), tr, G3, 64, 8, dt=DT)
+        sim = synthesize_record(reference(120), tr, G3, dt=DT)
         np.testing.assert_allclose(sim.record.c, sim.record.b, atol=1e-12)
         np.testing.assert_allclose(sim.record.d, sim.record.b, atol=1e-12)
 
@@ -129,7 +129,7 @@ class TestSynthesize:
         # Az 0, El 0: tau2 = d/c = 50 ns = 12.5 samples at 4 ns; the integer
         # correlation peak must land on one of the two neighboring lags
         tr = make_track("constant", 40, az0=0.0, el0=0.0, window_length=256, hop=8)
-        sim = synthesize_record(reference(600), tr, G3, 256, 8, dt=DT)
+        sim = synthesize_record(reference(600), tr, G3, dt=DT)
         wins = segment(sim.record, SegmentationPlan(256, 8))
         for wi in (0, 3, 10):
             w = normalize_window(wins[wi])
@@ -139,7 +139,7 @@ class TestSynthesize:
 
     def test_fractional_peak_recovers_half_sample(self):
         tr = make_track("constant", 40, az0=0.0, el0=0.0, window_length=256, hop=8)
-        sim = synthesize_record(reference(600), tr, G3, 256, 8, dt=DT)
+        sim = synthesize_record(reference(600), tr, G3, dt=DT)
         wins = segment(sim.record, SegmentationPlan(256, 8))
         w = normalize_window(wins[3])
         series = xcorr.cc_time(w.segments[0], w.segments[2])
@@ -149,7 +149,7 @@ class TestSynthesize:
     def test_window_count_bookkeeping(self):
         n = 37
         tr = make_track("random-walk", n, seed=2, window_length=128, hop=1)
-        sim = synthesize_record(reference(4000), tr, G3, 128, 1, dt=DT)
+        sim = synthesize_record(reference(4000), tr, G3, dt=DT)
         assert sim.record.length == n - 1 + 128
         wins = segment(sim.record, SegmentationPlan(128, 1))
         assert len(wins) == n
@@ -157,11 +157,11 @@ class TestSynthesize:
     def test_reference_too_short_rejected(self):
         tr = make_track("constant", 100, window_length=256, hop=8)
         with pytest.raises(ValueError, match="cannot host"):
-            synthesize_record(reference(500), tr, G3, 256, 8, dt=DT)
+            synthesize_record(reference(500), tr, G3, dt=DT)
 
     def test_embedded_delays_pass_gate(self):
         tr = make_track("random-walk", 60, seed=5, window_length=64, hop=4)
-        sim = synthesize_record(reference(500), tr, G3, 64, 4, dt=DT)
+        sim = synthesize_record(reference(500), tr, G3, dt=DT)
         norms = np.hypot(sim.tau1_s, sim.tau2_s)
         assert np.all(norms <= G3.transit_time * (1 + 1e-12))
 
@@ -180,7 +180,7 @@ class TestSynthesize:
         # preserved only up to boundary flux; a stationary reference keeps it
         # within a few percent
         tr = make_track("constant", 6, az0=30.0, el0=20.0, window_length=256, hop=256)
-        sim = synthesize_record(reference(2000), tr, G3, 256, 256, dt=DT)
+        sim = synthesize_record(reference(2000), tr, G3, dt=DT)
         for i in range(6):
             sl = slice(i * 256, (i + 1) * 256)
             eb = np.sum(sim.record.b[sl] ** 2)
@@ -190,7 +190,7 @@ class TestSynthesize:
     def test_gap_samples_are_zero_and_deterministic(self):
         # hop > window leaves samples no window covers in C and D
         tr = make_track("random-walk", 4, seed=11, window_length=256, hop=1024)
-        runs = [synthesize_record(reference(4000, seed=11), tr, G3, 256, 1024, dt=DT) for _ in range(2)]
+        runs = [synthesize_record(reference(4000, seed=11), tr, G3, dt=DT) for _ in range(2)]
         assert runs[0].record.channels.tobytes() == runs[1].record.channels.tobytes()
         gaps = np.ones(runs[0].record.length, dtype=bool)
         for i in range(4):
@@ -199,7 +199,7 @@ class TestSynthesize:
 
     def test_truth_sidecar_roundtrip(self, tmp_path):
         tr = make_track("random-walk", 12, seed=9, window_length=64, hop=8)
-        sim = synthesize_record(reference(300), tr, G3, 64, 8, dt=DT)
+        sim = synthesize_record(reference(300), tr, G3, dt=DT)
         p = save_truth(sim, tmp_path / "truth.csv")
         header = p.read_text().splitlines()[0]
         assert header == "window_index,az_deg,el_deg,tau1_s,tau2_s"

@@ -8,7 +8,7 @@ import pytest
 
 from itfmap import denoise, wavelets
 from itfmap._wavelet_tables import SCALING_FILTERS
-from itfmap.evaluate import DEFAULT_FILTERS
+from itfmap.evaluate import FILTERS
 from itfmap.wavelets import TAP_BLOCK, get_basis
 
 ALL_BASES = wavelets.available_bases()
@@ -174,7 +174,7 @@ class TestBlockedKernels:
                 step = wavelets._synthesis_step(a, d, basis, n0)
                 assert step.tobytes() == rolled_synthesis_step(a, d, basis, n0).tobytes(), n
 
-    @pytest.mark.parametrize("spec", [f for f in DEFAULT_FILTERS if f.startswith("wt-")])
+    @pytest.mark.parametrize("spec", [f for f in FILTERS if f.startswith("wt-")])
     @pytest.mark.parametrize("block", [TAP_BLOCK, 1000])
     def test_denoise_matches_the_reference_kernels(self, monkeypatch, spec, block):
         """Across three blocks and an odd tail, at any block size."""
