@@ -157,12 +157,12 @@ def augment_track(track: AngleTrack, spec: AugmentSpec) -> AngleTrack:
     return AngleTrack(az, el, window_length=track.window_length, hop=track.hop, valid=track.valid.copy())
 
 
-def fractional_delay(segment: np.ndarray, delay_samples: float) -> np.ndarray:
-    """Band-limited circular delay via a spectral phase ramp (unitary)."""
+def fractional_delay(segment: np.ndarray, delay_samples: float | np.ndarray) -> np.ndarray:
+    """Band-limited circular delay via a spectral phase ramp (unitary); one row per delay of an array."""
     n = len(segment)
     spec = np.fft.rfft(segment)
     k = np.arange(len(spec))
-    return np.fft.irfft(spec * np.exp(-2j * np.pi * k * delay_samples / n), n)
+    return np.fft.irfft(spec * np.exp(-2j * np.pi * k * np.asarray(delay_samples)[..., None] / n), n)
 
 
 def synthesize_record(
@@ -177,10 +177,9 @@ def synthesize_record(
     Channel B is the reference as-is.  For window i the per-window delays
     (tau1, tau2) follow from the track angles; the C (BC baseline) and D
     (BD baseline) windows are the B window delayed by tau1 and tau2
-    (band-limited spectral phase ramp on a padded slice).  The windows are
-    concatenated with each output sample owned by the latest window covering
-    it, so overlapped synthesis stays single-valued.  With hop > window the
-    samples of C and D that no window covers are zero.
+    (band-limited spectral phase ramp on a zero-padded slice).  Each sample
+    of C and D is written once, by the latest window covering it; samples
+    that no window covers (hop > window) are zero.
     """
     geom = geom or ArrayGeometry()
     w, h = track.window_length, track.hop
@@ -192,36 +191,27 @@ def synthesize_record(
             f"reference of {len(ref)} samples cannot host {n_win} windows "
             f"(need {needed} at window {w}, hop {h})"
         )
-    ref = ref[:needed]
-    tau1 = np.empty(n_win)
-    tau2 = np.empty(n_win)
-    for i in range(n_win):
-        tau1[i], tau2[i] = tdoa_from_direction(
-            float(track.az_deg[i]), float(track.el_deg[i]), geom
-        )
+    tau = np.array([tdoa_from_direction(az, el, geom) for az, el in zip(track.az_deg.tolist(), track.el_deg.tolist())])
     # pad each window's slice so the spectral ramp's circular wrap-around
     # never reaches the samples the window actually contributes
-    pad = 64 + int(np.ceil(np.max(np.abs(np.concatenate([tau1, tau2]))) / dt))
-    chan_c = np.zeros(needed)
-    chan_d = np.zeros(needed)
-    for i in range(n_win):
+    pad = 64 + int(np.ceil(np.max(np.abs(tau)) / dt))
+    channels = np.zeros((3, needed))
+    channels[0] = ref[:needed]
+    padded = np.pad(channels[0], pad)
+    # window i writes the samples of [bounds[i], bounds[i + 1]) that it covers
+    bounds = np.append(np.arange(n_win) * h, needed)
+    for i, delays in enumerate(tau / dt):
         start = i * h
-        a = start - pad
-        b = start + w + pad
-        seg = np.zeros(b - a)
-        lo, hi = max(a, 0), min(b, needed)
-        seg[lo - a : hi - a] = ref[lo:hi]
-        delayed_c = fractional_delay(seg, tau1[i] / dt)
-        delayed_d = fractional_delay(seg, tau2[i] / dt)
-        chan_c[start : start + w] = delayed_c[pad : pad + w]
-        chan_d[start : start + w] = delayed_d[pad : pad + w]
+        lo, hi = max(bounds[i], start), min(bounds[i + 1], start + w)
+        delayed = fractional_delay(padded[start : start + w + 2 * pad], delays)
+        channels[1:, lo:hi] = delayed[:, pad + lo - start : pad + hi - start]
     record = SampleRecord(
-        channels=np.vstack([ref, chan_c, chan_d]),
+        channels=channels,
         sample_interval=dt,
         label="simulated",
     )
     truth = AngleTrack(track.az_deg.copy(), track.el_deg.copy(), window_length=w, hop=h, valid=track.valid.copy())
-    return SimulatedRecord(record=record, truth=truth, tau1_s=tau1, tau2_s=tau2)
+    return SimulatedRecord(record=record, truth=truth, tau1_s=tau[:, 0], tau2_s=tau[:, 1])
 
 
 def snr_power_ratio(snr_db: float) -> float:

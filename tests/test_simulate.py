@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from itfmap import xcorr
-from itfmap.geometry import ArrayGeometry
+from itfmap.geometry import ArrayGeometry, tdoa_from_direction
 from itfmap.signals import SegmentationPlan, normalize_window, segment
 from itfmap.simulate import (
     AngleTrack,
     AugmentSpec,
     add_awgn,
     augment_track,
+    fractional_delay,
     load_truth,
     make_track,
     save_truth,
@@ -118,7 +119,57 @@ class TestAugmentTrack:
                 AugmentSpec(noise_sigma=bad)
 
 
+def oracle_channels(ref, track, geom, dt):
+    """The record `synthesize_record` is meant to build, one window and one
+    delay at a time: each window's slice of the reference, zero-padded by
+    64 + max |delay| samples, is delayed by each scalar delay, and every
+    sample of C and D is taken from the latest window covering it."""
+    w, h, n = track.window_length, track.hop, len(track)
+    needed = (n - 1) * h + w
+    ref = np.asarray(ref[:needed], dtype=np.float64)
+    tau = np.array([tdoa_from_direction(az, el, geom) for az, el in zip(track.az_deg.tolist(), track.el_deg.tolist())])
+    pad = 64 + int(np.ceil(np.max(np.abs(tau)) / dt))
+    delayed = np.empty((n, 2, w))
+    for i in range(n):
+        seg = np.zeros(w + 2 * pad)
+        a = i * h - pad
+        lo, hi = max(a, 0), min(a + len(seg), needed)
+        seg[lo - a : hi - a] = ref[lo:hi]
+        for j in range(2):
+            delayed[i, j] = fractional_delay(seg, tau[i, j] / dt)[pad : pad + w]
+    sample = np.arange(needed)
+    owner = np.minimum(sample // h, n - 1)
+    offset = sample - owner * h
+    covered = offset < w
+    channels = np.zeros((3, needed))
+    channels[0] = ref
+    channels[1:, covered] = delayed[owner[covered], :, offset[covered]].T
+    return channels
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("n, window, hop", [
+        (20, 64, 16),    # hop < window
+        (15, 64, 7),     # odd hop
+        (6, 64, 64),     # hop = window
+        (7, 32, 50),     # hop > window: uncovered gaps
+        (1, 64, 3),      # one window
+    ])
+    def test_matches_the_window_by_window_oracle(self, n, window, hop):
+        tr = make_track("random-walk", n, seed=n, az_step=20.0, el_step=10.0, window_length=window, hop=hop)
+        ref = reference((n - 1) * hop + window + 5, seed=hop)
+        sim = synthesize_record(ref, tr, G3, dt=DT)
+        assert sim.record.channels.tobytes() == oracle_channels(ref, tr, G3, DT).tobytes()
+
+    def test_delays_as_an_array_match_the_scalar_calls(self):
+        x = reference(300, seed=4)
+        delays = [12.5, -3.25, 0.0]
+        rows = fractional_delay(x, delays)
+        assert rows.shape == (3, 300)
+        for row, d in zip(rows, delays):
+            assert row.tobytes() == fractional_delay(x, d).tobytes()
+        assert fractional_delay(x, np.float64(2.5)).shape == (300,)
+
     def test_zenith_channels_identical(self):
         tr = make_track("constant", 8, az0=77.0, el0=90.0, window_length=64, hop=8)
         sim = synthesize_record(reference(120), tr, G3, dt=DT)
