@@ -58,13 +58,13 @@ def direction_from_tdoa(tau1: float, tau2: float, geom: ArrayGeometry) -> Direct
     """Invert the two baseline delays to a direction.
 
     tau1 is the BC-baseline delay, tau2 the BD-baseline delay (seconds).
-    gate = (c/d) sqrt(tau1^2 + tau2^2); gate > 1 (beyond float slack) means
-    the pair is unphysical and the estimate is returned invalid.  Otherwise
-    Az = atan2(tau1, tau2) in [0, 360) and El = arccos(gate); the zenith
-    pair (0, 0) reads (0, 90).
+    gate = (c/d) sqrt(tau1^2 + tau2^2); gate > 1 (beyond float slack) or a
+    NaN delay means the pair is unphysical and the estimate is returned
+    invalid.  Otherwise Az = atan2(tau1, tau2) in [0, 360) and
+    El = arccos(gate); the zenith pair (0, 0) reads (0, 90).
     """
     gate = (geom.c / geom.d) * hypot(tau1, tau2)
-    if gate > 1.0 + GATE_SLACK:
+    if not gate <= 1.0 + GATE_SLACK:
         return DirectionEstimate(None, None, False, gate)
     if tau1 == 0.0 and tau2 == 0.0:
         return DirectionEstimate(0.0, 90.0, True, gate)

@@ -31,6 +31,12 @@ class TestForward:
         assert est.gate_value == pytest.approx(np.sqrt(2) * 0.8, rel=1e-12)
         assert est.az_deg is None and est.el_deg is None
 
+    @pytest.mark.parametrize("tau1, tau2", [(np.nan, 0.0), (0.0, np.nan), (np.nan, 30e-9), (np.nan, np.nan)])
+    def test_nan_delay_invalid(self, tau1, tau2):
+        est = direction_from_tdoa(tau1, tau2, G)
+        assert not est.valid
+        assert est.az_deg is None and est.el_deg is None
+
     def test_transit_time(self):
         assert G.transit_time == pytest.approx(5e-8, abs=0)
 
