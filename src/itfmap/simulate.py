@@ -178,8 +178,8 @@ def synthesize_record(
     (tau1, tau2) follow from the track angles; the C (BC baseline) and D
     (BD baseline) windows are the B window delayed by tau1 and tau2
     (band-limited spectral phase ramp on a zero-padded slice).  Each sample
-    of C and D is written once, by the latest window covering it; samples
-    that no window covers (hop > window) are zero.
+    of C and D is written once, by the window whose centre (start + W/2) is
+    nearest, the later one on a tie; samples no window covers are zero.
     """
     geom = geom or ArrayGeometry()
     w, h = track.window_length, track.hop
@@ -199,7 +199,7 @@ def synthesize_record(
     channels[0] = ref[:needed]
     padded = np.pad(channels[0], pad)
     # window i writes the samples of [bounds[i], bounds[i + 1]) that it covers
-    bounds = np.append(np.arange(n_win) * h, needed)
+    bounds = np.concatenate(([0], (2 * h * np.arange(1, n_win) + w - h + 1) // 2, [needed]))
     for i, delays in enumerate(tau / dt):
         start = i * h
         lo, hi = max(bounds[i], start), min(bounds[i + 1], start + w)
