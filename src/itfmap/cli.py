@@ -3,9 +3,9 @@ run the benchmark grid, and render map CSVs to SVG.
 
 Each command takes the settings `SETTINGS` lists for it, from an optional
 flat ``key = value`` file plus flags (flags win).  The map CSV, the elevation
-CSV and the report CSV carry the merged settings as header comments; the
-record, its sidecar, the markdown report and the SVG do not.  Seeded runs are
-byte-identical.
+CSV and the report CSV carry the merged settings, all but the output paths,
+as header comments; the record, its sidecar, the markdown report and the SVG
+do not.  Seeded runs are byte-identical.
 
 Exit codes: 0 ok, 2 usage (argparse), 3 invalid configuration, 4 missing or
 unreadable input, 5 write failure, 6 processing error.
@@ -177,7 +177,9 @@ def _pipeline_config(
 
 
 def _config_comments(cfg: dict) -> list[str]:
-    return [f"{k} = {cfg[k]}" for k in sorted(cfg)]
+    """The settings as header comments, all but the output paths: a result's
+    bytes do not depend on the file it is written to."""
+    return [f"{k} = {cfg[k]}" for k in sorted(cfg) if k not in ("output", "markdown", "el_series")]
 
 
 # ----------------------------------------------------------------------

@@ -195,16 +195,16 @@ class TestMapCommand:
         lines = [l for l in el.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "window_index,time_s,elevation_deg"
         assert len(lines) > 1
+        for path in (el, tmp_path / "m.csv"):  # output paths are no settings comments
+            assert not [l for l in path.read_text().splitlines() if l.startswith(("# output", "# el_series"))]
 
     def test_byte_identical_reruns(self, tmp_path):
         rec = self.make_record(tmp_path)
         m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
         for m in (m1, m2):
             run("map", "--input", str(rec), "--output", str(m), "--window", "128", "--hop", "4")
-        a, b = m1.read_text(), m2.read_text()
-        # outputs differ only in the self-describing output-path comment
-        strip = lambda t: [l for l in t.splitlines() if not l.startswith("# output")]
-        assert strip(a) == strip(b)
+        # the output path is not among the settings comments
+        assert m1.read_bytes() == m2.read_bytes()
 
     @pytest.mark.parametrize("filt", ["none", "bpf", "kf", "wt-sym4-sure"])
     def test_nan_sample_skips_the_windows_covering_it(self, tmp_path, capsys, filt):
@@ -393,9 +393,10 @@ class TestBenchCommand:
         cfgf.write_text("records = 1\n")
         out = tmp_path / "r.csv"
         assert run("bench", "--config", str(cfgf), "--output", str(out), "--window", "64",
-                   "--hop", "16", "--record-windows", "2") == EXIT_OK
+                   "--hop", "16", "--record-windows", "2", "--markdown", str(tmp_path / "r.md")) == EXIT_OK
         header = [l for l in out.read_text().splitlines() if l.startswith("#")]
         assert "# records = 1" in header and "# record_windows = 2" in header
+        assert not [l for l in header if l.startswith(("# output", "# markdown"))]
 
     @pytest.fixture
     def synthesized(self, monkeypatch):

@@ -84,8 +84,9 @@ def map_runs() -> list[tuple[str, list[str]]]:
 
 
 def produce(workdir: Path) -> None:
-    """Write every golden output into `workdir`.  Paths given to the CLI are
-    relative, so the header comments that echo them are the same anywhere."""
+    """Write every golden output into `workdir`.  Input paths given to the
+    CLI are relative, so the header comments that echo them are the same
+    anywhere."""
     here = Path.cwd()
     os.chdir(workdir)
     try:
@@ -93,11 +94,7 @@ def produce(workdir: Path) -> None:
         make_gaps_record(Path(RECORD), Path(GAPS))
         for _, argv in map_runs():
             assert main(argv) == EXIT_OK
-        assert main(["bench", "--output", "bench.csv", *BENCH]) == EXIT_OK
-        # a second run for the markdown table: its path would join bench.csv's
-        # settings comments
-        assert main(["bench", "--output", "bench-md.csv", "--markdown", "bench.md", *BENCH]) == EXIT_OK
-        Path("bench-md.csv").unlink()
+        assert main(["bench", "--output", "bench.csv", "--markdown", "bench.md", *BENCH]) == EXIT_OK
     finally:
         os.chdir(here)
 
