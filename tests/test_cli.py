@@ -195,7 +195,7 @@ class TestMapCommand:
         lines = [l for l in el.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "window_index,time_s,elevation_deg"
         assert len(lines) > 1
-        for path in (el, tmp_path / "m.csv"):  # output paths are no settings comments
+        for path in (el, tmp_path / "m.csv"):  # output paths are not among the settings comments
             assert not [l for l in path.read_text().splitlines() if l.startswith(("# output", "# el_series"))]
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -267,8 +267,7 @@ class TestTruthLabels:
     """Window i's samples around its centre carry window i's delays, which
     the truth labels it with, so a noiseless cctd map at cubic x8 scores
     near the grid floor: the error of the true delays rounded to 1/8
-    sample (0.32 deg here).  Filled by the latest window covering each
-    sample, the same records scored 1.97 deg at hop 1 and 0.97 deg at hop 32."""
+    sample (0.32 deg here)."""
 
     @pytest.mark.parametrize("hop, n", [(1, 2000), (32, 120)])
     def test_noiseless_sweep_scores_near_the_grid_floor(self, hop, n):
