@@ -148,22 +148,21 @@ def window_peaks(
     neighborhood: memory holds one block, never all the windows."""
     w, total = config.plan.window_length, config.plan.count(record.length)
     views = sliding_window_view(record.channels, w, axis=1)[:, :: config.plan.hop]
-    index, degenerate = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    lost = np.zeros(total, dtype=bool)
     parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods or (config.cc_method,)}
     for start in range(0, total, WINDOW_CHUNK):
         block = views[:, start : start + WINDOW_CHUNK].copy()
         bad = normalize_segments(block).any(axis=0)
-        degenerate.append(start + np.flatnonzero(bad))
-        index.append(start + np.flatnonzero(~bad))
+        lost[start : start + WINDOW_CHUNK] = bad
         if bad.all():
             continue
         good = block[:, ~bad] if bad.any() else block
         for m, found in parts.items():
             coeff = xcorr.correlate_block(good, m, record.sample_interval)
             found.append(xcorr.peak_neighborhoods(coeff.reshape(-1, 2 * w - 1)))
-    fields = ("lag", "coefficient", "neighborhood")
+    fields = ("lag", "neighborhood")
     return {
-        m: WindowPeaks(np.concatenate(index), np.concatenate(degenerate), total, xcorr.PeakNeighborhoods(
+        m: WindowPeaks(np.flatnonzero(~lost), np.flatnonzero(lost), total, xcorr.PeakNeighborhoods(
             w - 1, *(np.concatenate([getattr(p, f) for p in found]) for f in fields)))
         for m, found in parts.items()
     }

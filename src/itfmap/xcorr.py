@@ -160,8 +160,12 @@ class PeakNeighborhoods:
 
     max_lag: int
     lag: np.ndarray
-    coefficient: np.ndarray
     neighborhood: np.ndarray
+
+    @property
+    def coefficient(self) -> np.ndarray:
+        """Each row's peak coefficient: the centre of its neighborhood."""
+        return self.neighborhood[:, INTERP_NEIGHBORHOOD]
 
 
 def peak_neighborhoods(coefficients: np.ndarray) -> PeakNeighborhoods:
@@ -172,7 +176,7 @@ def peak_neighborhoods(coefficients: np.ndarray) -> PeakNeighborhoods:
     i = _argmax_nearest_zero(c, np.arange(-max_lag, max_lag + 1))
     nan = np.full((len(c), n), np.nan)
     around = np.hstack([nan, c, nan])[rows[:, None], i[:, None] + np.arange(2 * n + 1)]
-    return PeakNeighborhoods(max_lag, i - max_lag, c[rows, i], around)
+    return PeakNeighborhoods(max_lag, i - max_lag, around)
 
 
 def __getattr__(name: str):
@@ -223,12 +227,11 @@ def _cubic(vals: np.ndarray, factor: int) -> np.ndarray:
     return np.concatenate([v[:, :factor].reshape(-1, v.shape[-1]), v[-1, factor:]]).T
 
 
-def _resample(method: str, vals: np.ndarray, first: int, last: int, factor: int) -> np.ndarray:
-    """Rows of `vals`, sampled at integer offsets first .. last, resampled at
-    offsets first + k/factor."""
+def _resample(method: str, vals: np.ndarray, factor: int) -> np.ndarray:
+    """Rows of `vals`, sampled at unit spacing, resampled at offsets k/factor."""
     if method == "cubic":
         return _cubic(vals, factor)
-    k = np.arange((last - first) * factor + 1)
+    k = np.arange((vals.shape[1] - 1) * factor + 1)
     # np.interp's arithmetic: slope * (x - x_j) + y_j, with unit knot spacing
     slopes = np.diff(vals, axis=1, append=vals[:, -1:])
     j, r = np.divmod(k, factor)
@@ -239,38 +242,30 @@ def refine_peaks(peaks: PeakNeighborhoods, interps: Sequence[InterpSpec]) -> lis
     """Fractional-lag peak locations of every row of `peaks`, one array per
     spec in `interps` (see `refine_peak`).
 
-    Each method is resampled once, on the grid of its largest requested
-    factor; a smaller factor's curve is a slice of that grid, with the same
-    values because the grid points are dyadic.  Rows whose neighborhood lies
-    inside the lag axis are resampled together, `REFINE_BATCH_ROWS` at a
-    time; a row clipped at either end of the axis is resampled alone over the
-    lags it has.
+    Rows are grouped by the offsets of their neighborhood that lie inside
+    the lag axis, so the rows clear of both ends form one group, and each
+    group is resampled `REFINE_BATCH_ROWS` rows at a time.  Each method is
+    resampled once, on the grid of the largest factor in `interps`; a smaller
+    factor's curve is a slice of that grid, with the same values because the
+    grid points are dyadic.
     """
     out = [peaks.lag.astype(np.float64) for _ in interps]
-    finest: dict[str, int] = {}
-    for spec in interps:
-        if spec.method != "none":
-            finest[spec.method] = max(spec.factor, finest.get(spec.method, 1))
-    if not finest:
+    methods = {spec.method for spec in interps if spec.method != "none"}
+    if not methods or peaks.max_lag == 0:  # a one-lag axis has nothing to resample
         return out
-    n = INTERP_NEIGHBORHOOD
-    lo = np.maximum(peaks.lag - n, -peaks.max_lag)
-    hi = np.minimum(peaks.lag + n, peaks.max_lag)
-    clipped = hi - lo < 2 * n
-    inside = np.flatnonzero(~clipped)
-    groups = [inside[k : k + REFINE_BATCH_ROWS] for k in range(0, len(inside), REFINE_BATCH_ROWS)]
-    for rows in groups + [[i] for i in np.flatnonzero(clipped)]:
-        first, last = lo[rows[0]] - peaks.lag[rows[0]], hi[rows[0]] - peaks.lag[rows[0]]
-        if first == last:
-            continue  # one-lag axis: nothing to resample
-        vals = peaks.neighborhood[rows, first + n : last + n + 1]
-        for method, top in finest.items():
-            curve = _resample(method, vals, first, last, top)
+    n, top = INTERP_NEIGHBORHOOD, max(spec.factor for spec in interps)
+    ends = np.clip(peaks.lag + np.array([[-n], [n]]), -peaks.max_lag, peaks.max_lag) - peaks.lag
+    for first, last in sorted(set(zip(*ends.tolist()))):
+        group = np.flatnonzero((ends[0] == first) & (ends[1] == last))
+        for rows in (group[k : k + REFINE_BATCH_ROWS] for k in range(0, len(group), REFINE_BATCH_ROWS)):
+            vals = peaks.neighborhood[rows, first + n : last + n + 1]
+            dense = (peaks.lag[rows] + first)[:, None] + np.arange((last - first) * top + 1) / top
+            curves = {method: _resample(method, vals, top) for method in methods}
             for spec, lags in zip(interps, out):
-                if spec.method == method:
-                    dense = lo[rows][:, None] + np.arange((last - first) * spec.factor + 1) / spec.factor
-                    best = _argmax_nearest_zero(curve[:, :: top // spec.factor], dense)
-                    lags[rows] = dense[np.arange(len(rows)), best]
+                if spec.method != "none":
+                    step = top // spec.factor
+                    best = _argmax_nearest_zero(curves[spec.method][:, ::step], dense[:, ::step])
+                    lags[rows] = dense[np.arange(len(rows)), best * step]
     return out
 
 

@@ -248,7 +248,7 @@ class TestSolveDirections:
         index = np.sort(rng.choice(50, size=30, replace=False))
         coefficient = rng.uniform(0.2, 1.0, size=60)
         coefficient[7] = coefficient[6]  # a tie between the window's BC and BD peaks
-        peaks = xcorr.PeakNeighborhoods(127, np.zeros(60, dtype=int), coefficient, np.zeros((60, 17)))
+        peaks = xcorr.PeakNeighborhoods(127, np.zeros(60, dtype=int), np.repeat(coefficient[:, None], 17, axis=1))
         wp = WindowPeaks(index, np.setdiff1d(np.arange(50), index), 50, peaks)
         results = solve_directions(wp, specs, PipelineConfig(geometry=G), DT)
         assert len(results) == 3
@@ -292,7 +292,7 @@ class TestMapCsv:
         lags = rng.uniform(-20.0, 20.0, size=(40, 2))  # beyond 12.5 samples of transit, the gate fails
         lags[0] = 0.0  # the zenith
         coefficient = rng.uniform(0.2, 1.0, size=80)
-        peaks = xcorr.PeakNeighborhoods(127, np.zeros(80, dtype=int), coefficient, np.zeros((80, 17)))
+        peaks = xcorr.PeakNeighborhoods(127, np.zeros(80, dtype=int), np.repeat(coefficient[:, None], 17, axis=1))
         index = np.sort(rng.choice(60, size=40, replace=False))
         wp = WindowPeaks(index, np.setdiff1d(np.arange(60), index), 60, peaks)
         (res,) = solve_directions(wp, [lags.ravel()], PipelineConfig(geometry=G), DT)

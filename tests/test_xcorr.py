@@ -431,8 +431,10 @@ class TestBatchedRefinement:
         assert np.isnan(peaks.neighborhood[0, :5]).all()
         assert peaks.neighborhood[0, 5:].tolist() == c[:12].tolist()
 
-    def test_batch_size_does_not_change_lags(self, monkeypatch):
-        _, rows = adversarial_rows(256, np.random.default_rng(7))
+    @pytest.mark.parametrize("W", [9, 256])
+    def test_batch_size_does_not_change_lags(self, monkeypatch, W):
+        # at W = 9 every row off lag 0 is clipped: its group spans batches
+        _, rows = adversarial_rows(W, np.random.default_rng(7))
         whole = refine_peaks(peak_neighborhoods(rows), ALL_SPECS)
         monkeypatch.setattr(xcorr, "REFINE_BATCH_ROWS", 7)
         split = refine_peaks(peak_neighborhoods(rows), ALL_SPECS)
@@ -440,7 +442,7 @@ class TestBatchedRefinement:
             assert a.tolist() == b.tolist()
 
     def test_no_rows(self):
-        empty = PeakNeighborhoods(255, np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, 17)))
+        empty = PeakNeighborhoods(255, np.empty(0, dtype=np.int64), np.empty((0, 17)))
         assert [len(x) for x in refine_peaks(empty, ALL_SPECS)] == [0] * len(ALL_SPECS)
 
 
@@ -480,7 +482,7 @@ class TestCubicKernel:
             vals = spline_rows(last - first + 1, rng)
             dense = first + np.arange((last - first) * factor + 1) / factor
             expected = CubicSpline(np.arange(first, last + 1, dtype=np.float64), vals, axis=1)(dense)
-            got = xcorr._resample("cubic", vals, first, last, factor)
+            got = xcorr._resample("cubic", vals, factor)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (first, last)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
