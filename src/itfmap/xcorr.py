@@ -41,6 +41,11 @@ class CorrelationSeries:
     lags: np.ndarray
     coefficients: np.ndarray
 
+    def __post_init__(self):
+        n = len(self.coefficients)
+        if n % 2 == 0 or not np.array_equal(self.lags, np.arange(-(n // 2), n // 2 + 1)):
+            raise ValueError("a correlation series needs an odd number of coefficients over lags -L .. L")
+
     def peak(self) -> tuple[int, float]:
         """(integer lag, coefficient) of the maximum; ties -> smallest |lag|."""
         i = _argmax_nearest_zero(self.coefficients[None, :], self.lags)[0]
@@ -277,8 +282,6 @@ def refine_peak(series: CorrelationSeries, interp: InterpSpec) -> float:
     returns the argmax of the resampled curve (same tie break).  Factor 1 or
     method ``none`` return the integer peak.  A one-row `refine_peaks`.
     """
-    if len(series.coefficients) == 0:
-        raise ValueError("empty correlation series")
     return float(refine_peaks(peak_neighborhoods(series.coefficients), [interp])[0][0])
 
 

@@ -297,6 +297,13 @@ class TestRefinePeak:
             series = CorrelationSeries(np.arange(-50, 51), c)
             assert refine_peak(series, InterpSpec()) == float(series.peak()[0])
 
+    @pytest.mark.parametrize("lags", [np.arange(0, 21), np.arange(-10, 10), np.arange(-9, 11)])
+    def test_series_off_a_symmetric_lag_axis_is_rejected(self, lags):
+        # refinement reads the lag axis from the length alone, so an axis
+        # 0 .. 20 peaked at lag 13 would refine to 3.0
+        with pytest.raises(ValueError):
+            CorrelationSeries(lags, np.cos((lags - 13) / 4.0))
+
     def test_fractional_delay_cubic_beats_integer(self):
         # oracle: the analytic delay is 2.5 samples by construction
         x, y = bandlimited_pair(2.5)
