@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from itfmap.geometry import ArrayGeometry, tdoa_from_direction
-from itfmap.signals import SampleRecord, read_table, write_table
+from itfmap.signals import SampleRecord, SegmentationPlan, read_table, write_table
 
 TRACK_KINDS = ("constant", "linear-sweep", "random-walk")
 MAX_DELAY_SAMPLES = 2**16  # largest baseline transit (samples) the command line synthesizes
@@ -24,8 +24,9 @@ MAX_DELAY_SAMPLES = 2**16  # largest baseline transit (samples) the command line
 @dataclass(frozen=True)
 class AngleTrack:
     """Per-window (azimuth, elevation) in degrees, plus the (window, hop)
-    geometry it was generated for.  `valid` marks windows carrying a claim;
-    estimated tracks use it for gate-failed windows."""
+    geometry it was generated for, checked as a `SegmentationPlan`.  `valid`
+    marks windows carrying a claim; estimated tracks use it for gate-failed
+    windows."""
 
     az_deg: np.ndarray
     el_deg: np.ndarray
@@ -42,6 +43,7 @@ class AngleTrack:
             raise ValueError("azimuth not finite")
         if not ((el >= 0.0) & (el <= 90.0)).all():
             raise ValueError("elevation out of [0, 90]")
+        SegmentationPlan(self.window_length, self.hop)
         object.__setattr__(self, "az_deg", az)
         object.__setattr__(self, "el_deg", el)
         v = self.valid

@@ -327,3 +327,11 @@ class TestAngleTrack:
 
     def test_length_one_allowed(self):
         assert len(AngleTrack(np.array([10.0]), np.array([45.0]))) == 1
+
+    @pytest.mark.parametrize("window_length, hop", [(16, 0), (16, -3), (1, 1)])
+    def test_window_layout_is_a_segmentation_plan(self, window_length, hop):
+        # at hop 0, synthesis would return a 16-sample record for 5 windows
+        with pytest.raises(ValueError, match="hop|window_length"):
+            make_track("constant", 5, window_length=window_length, hop=hop)
+        with pytest.raises(ValueError, match="hop|window_length"):
+            AngleTrack(np.zeros(5), np.zeros(5), window_length, hop)
