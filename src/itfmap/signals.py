@@ -270,6 +270,7 @@ def _load_raw(path: Path) -> SampleRecord:
     magic, length, dt = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise RecordFormatError(f"{path}: bad magic {magic!r}")
+    dt = float(str(np.float32(dt)))  # its f32's shortest decimal: 4e-09 as written, not 3.999999886872274e-09
     if not 0 < dt < np.inf:
         raise RecordFormatError(f"{path}: non-positive or non-finite sample interval {dt}")
     expected = _HEADER.size + 3 * length * 4
@@ -279,7 +280,7 @@ def _load_raw(path: Path) -> SampleRecord:
         )
     flat = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
     channels = flat.reshape(3, length).astype(np.float64)
-    return SampleRecord(channels=channels, sample_interval=float(dt))
+    return SampleRecord(channels=channels, sample_interval=dt)
 
 
 def _save_raw(record: SampleRecord, path: Path) -> Path:

@@ -86,6 +86,20 @@ class TestMapCommand:
             "--window", str(window), "--hop", str(hop), "--seed", str(seed))
         return out
 
+    @pytest.mark.parametrize("cc", ["cctd", "ccfd", "ccwd"])
+    def test_csv_and_raw_binary_copies_map_to_the_same_bytes(self, tmp_path, cc):
+        # f32-exact samples; raw binary stores dt = 4e-9 as an f32, which must
+        # read back as 4e-9, or time_s and the angles move
+        rec = load_record(self.make_record(tmp_path, windows=40, window=64, hop=8))
+        exact = SampleRecord(rec.channels.astype(np.float32).astype(np.float64), 4e-9)
+        maps = []
+        for name in ("rec.csv", "rec.bin"):
+            out = tmp_path / f"{name}.map.csv"
+            assert run("map", "--input", str(save_record(exact, tmp_path / name)), "--output", str(out),
+                       "--window", "64", "--hop", "8", "--interp", "cubic:8", "--cc", cc) == EXIT_OK
+            maps.append([line for line in out.read_text().splitlines() if not line.startswith("# input")])
+        assert maps[0] == maps[1]
+
     def test_map_produces_csv(self, tmp_path):
         rec = self.make_record(tmp_path)
         out = tmp_path / "map.csv"
