@@ -195,10 +195,12 @@ def _is_number(field: str) -> bool:
 def describe_change(old: str, new: str) -> str:
     """The rows two versions of a golden table differ in, and the columns:
     named by the table's header line, or numbered when (as in a record CSV)
-    the first line after the ``#`` comments is already a sample row."""
+    the first line after the ``#`` comments is already a sample row.  A
+    markdown row (one starting with ``|``) splits on ``|``, others on commas."""
     def split(text):
         lines = text.splitlines()
-        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        rows = [[f.strip() for f in line.strip("|").split("|")] if line.startswith("|") else line.split(",")
+                for line in lines if not line.startswith("#")]
         header = rows.pop(0) if rows and not all(map(_is_number, rows[0])) else None
         return [line for line in lines if line.startswith("#")], header, rows
 
@@ -223,6 +225,8 @@ def test_regeneration_names_the_changed_rows_and_columns():
     assert describe_change("# dt=4e-09\n1.0,2.0,3.0\n", "# dt=4e-09\n1.0,2.5,3.0\n4.0,5.0,6.0\n") == (
         "1 of 2 rows changed, in column 2; row count 1 -> 2")
     assert describe_change(old, old.replace("ccwd", "cctd")) == "0 of 2 rows changed; comment lines changed"
+    table = "| filter | CCWD cubic x4 | CCWD cubic x8 |\n|---|---|---|\n| bpf | 1.00 | 2.00 |\n| kf | 3.00 | 4.00 |\n"
+    assert describe_change(table, table.replace("4.00", "4.50")) == "1 of 3 rows changed, in CCWD cubic x8"
 
 
 if __name__ == "__main__":
