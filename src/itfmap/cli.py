@@ -186,16 +186,28 @@ def _config_comments(cfg: dict) -> list[str]:
 # Commands
 # ----------------------------------------------------------------------
 
+REFERENCE_BLOCK = 8192  # samples summed per cache-sized block; a multiple of 64, the bytes do not depend on it
+
+
 def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
     """Broadband reference for synthesis, limited to `SIGNAL_BAND`."""
     rng = np.random.default_rng(seed)
-    t = np.arange(n) * dt
+    tones = [(2 * np.pi * f0, rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi))
+             for f0 in np.linspace(*SIGNAL_BAND, 24)]
     x = np.zeros(n)
-    for f0 in np.linspace(*SIGNAL_BAND, 24):
-        x += rng.uniform(0.5, 1.0) * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
-    burst = np.exp(-0.5 * ((np.arange(n) - n / 2) / (n / 3)) ** 2)  # slow envelope
-    x *= 0.2 + burst
-    return x / np.max(np.abs(x))
+    tmp = np.empty(min(n, REFERENCE_BLOCK))
+    for lo in range(0, n, REFERENCE_BLOCK):
+        idx = np.arange(lo, min(n, lo + REFERENCE_BLOCK))
+        xb, tb, t = x[lo : lo + len(idx)], tmp[: len(idx)], idx * dt
+        # amplitude * sin(omega * t + phase), in that order, so each sample rounds as in one whole-array pass
+        for omega, amplitude, phase in tones:
+            np.multiply(t, omega, out=tb)
+            tb += phase
+            np.sin(tb, out=tb)
+            tb *= amplitude
+            xb += tb
+        xb *= np.exp(-0.5 * ((idx - n / 2) / (n / 3)) ** 2) + 0.2  # slow envelope
+    return np.divide(x, np.max(np.abs(x)), out=x)
 
 
 def _synthesize(

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from itfmap.geometry import ArrayGeometry, tdoa_from_direction
 from itfmap.signals import SampleRecord, SegmentationPlan, read_table, write_table
 
 TRACK_KINDS = ("constant", "linear-sweep", "random-walk")
 MAX_DELAY_SAMPLES = 2**16  # largest baseline transit (samples) the command line synthesizes
+SYNTH_BLOCK_SAMPLES = 2**14  # padded window samples delayed per block; a record's bytes do not depend on it
 
 
 @dataclass(frozen=True)
@@ -160,11 +162,17 @@ def augment_track(track: AngleTrack, spec: AugmentSpec) -> AngleTrack:
 
 
 def fractional_delay(segment: np.ndarray, delay_samples: float | np.ndarray) -> np.ndarray:
-    """Band-limited circular delay via a spectral phase ramp (unitary); one row per delay of an array."""
-    n = len(segment)
+    """Band-limited circular delay via a spectral phase ramp (unitary); one row per delay of an array.
+    A 2-D block of segments takes one row of delays per segment and gives shape (segments, delays, n)."""
+    segment, delays = np.asarray(segment), np.asarray(delay_samples)
+    n = segment.shape[-1]
     spec = np.fft.rfft(segment)
-    k = np.arange(len(spec))
-    return np.fft.irfft(spec * np.exp(-2j * np.pi * k * np.asarray(delay_samples)[..., None] / n), n)
+    if segment.ndim == 2:
+        if delays.ndim != 2 or len(delays) != len(segment):
+            raise ValueError(f"{len(segment)} segments need one row of delays each, got shape {delays.shape}")
+        spec = spec[:, None, :]
+    k = np.arange(spec.shape[-1])
+    return np.fft.irfft(spec * np.exp(-2j * np.pi * k * delays[..., None] / n), n)
 
 
 def synthesize_record(
@@ -199,14 +207,16 @@ def synthesize_record(
     pad = 64 + int(np.ceil(np.max(np.abs(tau)) / dt))
     channels = np.zeros((3, needed))
     channels[0] = ref[:needed]
-    padded = np.pad(channels[0], pad)
+    slices = sliding_window_view(np.pad(channels[0], pad), w + 2 * pad)[::h]
     # window i writes the samples of [bounds[i], bounds[i + 1]) that it covers
     bounds = np.concatenate(([0], (2 * h * np.arange(1, n_win) + w - h + 1) // 2, [needed]))
-    for i, delays in enumerate(tau / dt):
-        start = i * h
-        lo, hi = max(bounds[i], start), min(bounds[i + 1], start + w)
-        delayed = fractional_delay(padded[start : start + w + 2 * pad], delays)
-        channels[1:, lo:hi] = delayed[:, pad + lo - start : pad + hi - start]
+    block = max(1, SYNTH_BLOCK_SAMPLES // (w + 2 * pad))  # windows delayed per call
+    for first in range(0, n_win, block):
+        delayed = fractional_delay(slices[first : first + block], tau[first : first + block] / dt)
+        for i in range(first, min(first + block, n_win)):
+            start = i * h
+            lo, hi = max(bounds[i], start), min(bounds[i + 1], start + w)
+            channels[1:, lo:hi] = delayed[i - first, :, pad + lo - start : pad + hi - start]
     record = SampleRecord(
         channels=channels,
         sample_interval=dt,
@@ -229,28 +239,30 @@ def snr_power_ratio(snr_db: float) -> float:
     return ratio
 
 
-def add_awgn(signal: np.ndarray, snr_db: float, seed: int = 0) -> np.ndarray:
+def add_awgn(signal: np.ndarray, snr_db: float, seed: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """White Gaussian noise at the requested SNR; infinite SNR is identity.
 
     Noise power = signal power / `snr_power_ratio(snr_db)`; deterministic
-    per seed.
+    per seed.  The noisy copy is written to `out` when given.
     """
     x = np.asarray(signal, dtype=np.float64)
     ratio = snr_power_ratio(snr_db)
     if ratio == np.inf:
-        return x.copy()
+        return np.positive(x, out=out)
     power = float(np.mean(x**2))
     if power == 0.0:
         raise ValueError("zero-power signal cannot take a finite SNR")
     sigma = np.sqrt(power / ratio)
     rng = np.random.default_rng(seed)
-    return x + rng.normal(0.0, sigma, len(x))
+    return np.add(x, rng.normal(0.0, sigma, len(x)), out=out)
 
 
 def add_record_noise(record: SampleRecord, snr_db: float, seed: int = 0) -> SampleRecord:
     """AWGN on all three channels with per-channel seed derivation."""
-    chans = [add_awgn(record.channels[i], snr_db, seed=seed + i) for i in range(3)]
-    return SampleRecord(np.vstack(chans), record.sample_interval, record.label)
+    noisy = np.empty_like(record.channels)
+    for i, channel in enumerate(record.channels):
+        add_awgn(channel, snr_db, seed=seed + i, out=noisy[i])
+    return SampleRecord(noisy, record.sample_interval, record.label)
 
 
 # ----------------------------------------------------------------------

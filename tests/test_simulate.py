@@ -1,13 +1,15 @@
 """Track generation, augmentation, channel synthesis and noise injection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from itfmap import pipeline, xcorr
+from itfmap import cli, pipeline, simulate, xcorr
 from itfmap.cli import _reference_waveform
 from itfmap.evaluate import map_error
 from itfmap.geometry import ArrayGeometry, direction_from_tdoa, tdoa_from_direction
-from itfmap.signals import SegmentationPlan, normalize_window, segment
+from itfmap.signals import SIGNAL_BAND, SegmentationPlan, normalize_window, segment
 from itfmap.simulate import (
     AngleTrack,
     AugmentSpec,
@@ -121,6 +123,13 @@ class TestAugmentTrack:
                 AugmentSpec(noise_sigma=bad)
 
 
+def track_delays(track, geom, dt):
+    """The (tau1, tau2) rows of a track, and the pad of 64 + max |delay|
+    samples each window's slice takes on either side."""
+    tau = np.array([tdoa_from_direction(az, el, geom) for az, el in zip(track.az_deg.tolist(), track.el_deg.tolist())])
+    return tau, 64 + int(np.ceil(np.max(np.abs(tau)) / dt))
+
+
 def oracle_channels(ref, track, geom, dt):
     """The record `synthesize_record` is meant to build, one window and one
     delay at a time: each window's slice of the reference, zero-padded by
@@ -131,8 +140,7 @@ def oracle_channels(ref, track, geom, dt):
     w, h, n = track.window_length, track.hop, len(track)
     needed = (n - 1) * h + w
     ref = np.asarray(ref[:needed], dtype=np.float64)
-    tau = np.array([tdoa_from_direction(az, el, geom) for az, el in zip(track.az_deg.tolist(), track.el_deg.tolist())])
-    pad = 64 + int(np.ceil(np.max(np.abs(tau)) / dt))
+    tau, pad = track_delays(track, geom, dt)
     delayed = np.empty((n, 2, w))
     for i in range(n):
         seg = np.zeros(w + 2 * pad)
@@ -165,6 +173,19 @@ class TestSynthesize:
         sim = synthesize_record(ref, tr, G3, dt=DT)
         assert sim.record.channels.tobytes() == oracle_channels(ref, tr, G3, DT).tobytes()
 
+    @pytest.mark.parametrize("hop", [40, 64, 90])  # hop < W, hop = W, hop > W
+    @pytest.mark.parametrize("windows_per_block", [1, 7, 1000])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, hop, windows_per_block):
+        # 200 windows: more than the default block holds at W = 64
+        n, w = 200, 64
+        tr = make_track("random-walk", n, seed=hop, az_step=20.0, el_step=10.0, window_length=w, hop=hop)
+        ref = reference((n - 1) * hop + w, seed=hop)
+        _, pad = track_delays(tr, G3, DT)
+        assert n > simulate.SYNTH_BLOCK_SAMPLES // (w + 2 * pad)
+        monkeypatch.setattr(simulate, "SYNTH_BLOCK_SAMPLES", windows_per_block * (w + 2 * pad))
+        sim = synthesize_record(ref, tr, G3, dt=DT)
+        assert sim.record.channels.tobytes() == oracle_channels(ref, tr, G3, DT).tobytes()
+
     def test_delays_as_an_array_match_the_scalar_calls(self):
         x = reference(300, seed=4)
         delays = [12.5, -3.25, 0.0]
@@ -173,6 +194,17 @@ class TestSynthesize:
         for row, d in zip(rows, delays):
             assert row.tobytes() == fractional_delay(x, d).tobytes()
         assert fractional_delay(x, np.float64(2.5)).shape == (300,)
+        # a 2-D block: one row of delays per segment
+        block = np.stack([reference(300, seed=s) for s in range(4)])
+        block_delays = np.array([[12.5, -3.25], [0.0, 7.75], [-0.5, 0.125], [3.0, -12.5]])
+        out = fractional_delay(block, block_delays)
+        assert out.shape == (4, 2, 300)
+        for seg, seg_delays, seg_out in zip(block, block_delays, out):
+            for d, row in zip(seg_delays, seg_out):
+                assert row.tobytes() == fractional_delay(seg, d).tobytes()
+        for bad in (block_delays[:3], block_delays[:, 0]):
+            with pytest.raises(ValueError, match="one row of delays"):
+                fractional_delay(block, bad)
 
     def test_zenith_channels_identical(self):
         tr = make_track("constant", 8, az0=77.0, el0=90.0, window_length=64, hop=8)
@@ -261,6 +293,43 @@ class TestSynthesize:
         back = load_truth(p, window_length=64, hop=8)
         np.testing.assert_array_equal(back.az_deg, sim.truth.az_deg)
         np.testing.assert_array_equal(back.el_deg, sim.truth.el_deg)
+
+
+def whole_array_reference(n, dt, seed):
+    """`_reference_waveform` as one whole-array expression per tone."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * dt
+    x = np.zeros(n)
+    for f0 in np.linspace(*SIGNAL_BAND, 24):
+        x += rng.uniform(0.5, 1.0) * np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi))
+    burst = np.exp(-0.5 * ((np.arange(n) - n / 2) / (n / 3)) ** 2)
+    x *= 0.2 + burst
+    return x / np.max(np.abs(x))
+
+
+class TestCliSynthesis:
+    @pytest.mark.parametrize("block", [cli.REFERENCE_BLOCK, 7])
+    def test_blocks_match_the_whole_array_formula(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "REFERENCE_BLOCK", block)
+        for n in (2, block - 1, block, block + 1, 3 * block + 5):
+            for seed in (0, 3):
+                assert _reference_waveform(n, DT, seed).tobytes() == whole_array_reference(n, DT, seed).tobytes()
+
+    def test_block_is_a_multiple_of_64(self):
+        assert cli.REFERENCE_BLOCK % 64 == 0
+
+    def test_synthesis_memory_is_bounded_by_the_record(self):
+        # 1,024 windows at hop = W = 256: a record of 262,144 samples, 6 MiB
+        tr = make_track("linear-sweep", 1024, az0=120.0, az1=150.0, el0=45.0, el1=55.0, window_length=256, hop=256)
+        tracemalloc.start()
+        try:
+            sim = cli._synthesize(tr, ArrayGeometry(), DT, seed=1, noise_seed=1, snr_db=20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record_bytes = sim.record.channels.nbytes
+        assert record_bytes == 6 * 2**20
+        assert peak <= 3 * record_bytes, f"{peak / record_bytes:.2f}x the record"
 
 
 class TestTruthLabels:
