@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -186,27 +187,45 @@ def _config_comments(cfg: dict) -> list[str]:
 # Commands
 # ----------------------------------------------------------------------
 
-REFERENCE_BLOCK = 8192  # samples summed per cache-sized block; a multiple of 64, the bytes do not depend on it
+REFERENCE_BLOCK = 8192  # samples per block, a constant of the formula: each tone's sin/cos table spans one block
+
+
+def _envelope(u: np.ndarray) -> np.ndarray:
+    """0.2 + exp(-u**2 / 2) for |u| <= 1.5 from correctly rounded + and *
+    alone, so every CPU rounds it alike: (1 + q)**4 with q = expm1(-u**2 / 8)
+    by its Taylor terms through the 12th (remainder below 2e-17)."""
+    z, q = u * u * -0.125, np.zeros_like(u)
+    for k in range(12, 0, -1):
+        q += 1 / math.factorial(k)
+        q *= z
+    q *= q + 2
+    q *= q + 2
+    return np.add(q, 1.2, out=q)
 
 
 def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
-    """Broadband reference for synthesis, limited to `SIGNAL_BAND`."""
+    """Broadband reference for synthesis, limited to `SIGNAL_BAND`: 24 tones
+    A sin(omega t + phase) under a slow envelope.  By sin(a + b) = sin a cos b
+    + cos a sin b, each block adds per tone its sin and cos table over one
+    block's angles b, scaled by A cos a and A sin a at the block's start."""
     rng = np.random.default_rng(seed)
     tones = [(2 * np.pi * f0, rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi))
              for f0 in np.linspace(*SIGNAL_BAND, 24)]
-    x = np.zeros(n)
-    tmp = np.empty(min(n, REFERENCE_BLOCK))
-    for lo in range(0, n, REFERENCE_BLOCK):
-        idx = np.arange(lo, min(n, lo + REFERENCE_BLOCK))
-        xb, tb, t = x[lo : lo + len(idx)], tmp[: len(idx)], idx * dt
-        # amplitude * sin(omega * t + phase), in that order, so each sample rounds as in one whole-array pass
-        for omega, amplitude, phase in tones:
-            np.multiply(t, omega, out=tb)
-            tb += phase
-            np.sin(tb, out=tb)
-            tb *= amplitude
-            xb += tb
-        xb *= np.exp(-0.5 * ((idx - n / 2) / (n / 3)) ** 2) + 0.2  # slow envelope
+    block, starts = min(n, REFERENCE_BLOCK), np.arange(0, n, REFERENCE_BLOCK) * dt
+    tables, anchors = np.empty((len(tones), 2, block)), np.empty((len(tones), 2, len(starts)))
+    for (omega, amplitude, phase), (sin_b, cos_b), anchor in zip(tones, tables, anchors):
+        np.multiply(np.arange(block) * dt, omega, out=sin_b)
+        np.cos(sin_b, out=cos_b)
+        np.sin(sin_b, out=sin_b)
+        alpha = starts * omega + phase
+        anchor[:] = amplitude * np.sin(alpha), amplitude * np.cos(alpha)
+    x, tmp = np.zeros(n), np.empty(block)
+    for m, lo in enumerate(range(0, n, REFERENCE_BLOCK)):
+        xb, tb = x[lo : lo + block], tmp[: min(block, n - lo)]
+        for (sin_b, cos_b), (a_sin, a_cos) in zip(tables[:, :, : len(xb)], anchors[:, :, m]):
+            xb += np.multiply(cos_b, a_sin, out=tb)
+            xb += np.multiply(sin_b, a_cos, out=tb)
+        xb *= _envelope((np.arange(lo, lo + len(xb)) - n / 2) / (n / 3))
     return np.divide(x, np.max(np.abs(x)), out=x)
 
 

@@ -4,7 +4,8 @@ filters, a copy of the record with a NaN sample and a constant stretch mapped
 at hop 3 by every correlation method, and a seeded `bench` report, as CSV and
 as markdown table, stay byte-identical to the files committed under
 ``tests/golden/``.  The ccwd maps stay so under OpenBLAS kernels forced to
-other CPUs' (``OPENBLAS_CORETYPE``) as well.
+other CPUs' (``OPENBLAS_CORETYPE``) as well, and every output stays so with
+NumPy's AVX-512 dispatch targets switched off (``NPY_DISABLE_CPU_FEATURES``).
 
 Regenerate the files only when an output is meant to change:
 
@@ -150,6 +151,18 @@ def core_name() -> str:
     return ""
 
 
+def run_child(code: str, cwd: Path, *args: str, **env: str) -> str:
+    """The standard output of `code` run by a fresh interpreter in `cwd`,
+    with `env` added to its environment, the package source on its path and
+    this directory as its first argument; a failing child fails the test."""
+    path = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent), *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.fixture(scope="module")
 def foreign_maps(tmp_path_factory) -> dict:
     """Per forced core type, the directory its child interpreter mapped the
@@ -157,17 +170,12 @@ def foreign_maps(tmp_path_factory) -> dict:
     native, out, names = core_name(), {}, set()
     if not native:
         pytest.skip("cannot read this interpreter's OpenBLAS core name")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     argvs = json.dumps([argv for name, argv in map_runs() if name in CROSS_CORE_MAPS])
     for core in FOREIGN_CORES:
         out[core] = tmp_path_factory.mktemp(core)
         for name in (RECORD, GAPS):
             shutil.copy(GOLDEN / name, out[core] / name)
-        proc = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent), argvs], cwd=out[core],
-                              env={**env, "OPENBLAS_CORETYPE": core}, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        names.add(proc.stdout.splitlines()[0])
+        names.add(run_child(CHILD, out[core], argvs, OPENBLAS_CORETYPE=core).splitlines()[0])
     if names == {native}:
         pytest.skip(f"this interpreter's OpenBLAS ignores OPENBLAS_CORETYPE (always {native})")
     return out
@@ -182,6 +190,36 @@ def test_cross_core_set_is_the_ccwd_maps():
 @pytest.mark.parametrize("name", CROSS_CORE_MAPS)
 def test_ccwd_map_matches_golden_on_foreign_blas_cores(foreign_maps, core, name):
     assert (foreign_maps[core] / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} under {core}"
+
+
+# NumPy picks its SIMD kernels per CPU as well, and NPY_DISABLE_CPU_FEATURES
+# switches dispatch targets off.  With the AVX-512 ones off, as on an AVX2 CPU
+# without AVX-512, every golden output must come out byte-identical.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+DISPATCH_CHILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from numpy._core._multiarray_umath import __cpu_features__
+from test_golden import AVX512_TARGETS, produce
+if any(__cpu_features__[target] for target in AVX512_TARGETS):
+    sys.exit("NPY_DISABLE_CPU_FEATURES left an AVX-512 target on")
+produce(Path.cwd())
+"""
+
+
+@pytest.fixture(scope="module")
+def without_avx512(tmp_path_factory) -> Path:
+    """The directory a child interpreter with NumPy's AVX-512 targets off
+    wrote every golden output in."""
+    workdir = tmp_path_factory.mktemp("without-avx512")
+    run_child(DISPATCH_CHILD, workdir, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    return workdir
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_output_matches_golden_without_avx512(without_avx512, name):
+    assert (without_avx512 / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def _is_number(field: str) -> bool:

@@ -295,8 +295,10 @@ class TestSynthesize:
         np.testing.assert_array_equal(back.el_deg, sim.truth.el_deg)
 
 
-def whole_array_reference(n, dt, seed):
-    """`_reference_waveform` as one whole-array expression per tone."""
+def direct_reference(n, dt, seed):
+    """The reference's direct formula, amplitude * sin(omega * t + phase) per
+    sample and tone under an `np.exp` envelope, which `_reference_waveform`
+    computed before angle addition."""
     rng = np.random.default_rng(seed)
     t = np.arange(n) * dt
     x = np.zeros(n)
@@ -307,13 +309,39 @@ def whole_array_reference(n, dt, seed):
     return x / np.max(np.abs(x))
 
 
+def angle_addition_reference(n, dt, seed):
+    """`_reference_waveform` as whole-array expressions per tone: the sin and
+    cos tables of one block's angles, tiled over the record, times the
+    tone's terms at each block start, repeated over the block."""
+    rng = np.random.default_rng(seed)
+    block = cli.REFERENCE_BLOCK
+    x = np.zeros(n)
+    for f0 in np.linspace(*SIGNAL_BAND, 24):
+        omega, amplitude, phase = 2 * np.pi * f0, rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi)
+        beta = np.arange(min(n, block)) * dt * omega
+        alpha = np.arange(0, n, block) * dt * omega + phase
+        x += np.resize(np.cos(beta), n) * np.repeat(amplitude * np.sin(alpha), block)[:n]
+        x += np.resize(np.sin(beta), n) * np.repeat(amplitude * np.cos(alpha), block)[:n]
+    x *= cli._envelope((np.arange(n) - n / 2) / (n / 3))
+    return x / np.max(np.abs(x))
+
+
 class TestCliSynthesis:
-    @pytest.mark.parametrize("block", [cli.REFERENCE_BLOCK, 7])
-    def test_blocks_match_the_whole_array_formula(self, monkeypatch, block):
-        monkeypatch.setattr(cli, "REFERENCE_BLOCK", block)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_blocks_match_the_angle_addition_formula(self, seed):
+        block = cli.REFERENCE_BLOCK
         for n in (2, block - 1, block, block + 1, 3 * block + 5):
-            for seed in (0, 3):
-                assert _reference_waveform(n, DT, seed).tobytes() == whole_array_reference(n, DT, seed).tobytes()
+            assert _reference_waveform(n, DT, seed).tobytes() == angle_addition_reference(n, DT, seed).tobytes()
+
+    def test_angle_addition_stays_near_the_direct_formula(self):
+        # one argument ulp at the record's end is 4.7e-10 rad; the sums differ by less
+        n = 2**20
+        np.testing.assert_allclose(_reference_waveform(n, DT, 1), direct_reference(n, DT, 1), rtol=0, atol=1e-9)
+
+    def test_envelope_matches_exp(self):
+        n = 2**20
+        for u in ((np.arange(n) - n / 2) / (n / 3), np.linspace(-1.5, 1.5, 10_001)):
+            np.testing.assert_allclose(cli._envelope(u), 0.2 + np.exp(-0.5 * u**2), rtol=1e-15, atol=0)
 
     def test_block_is_a_multiple_of_64(self):
         assert cli.REFERENCE_BLOCK % 64 == 0
