@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -26,8 +25,7 @@ import numpy as np
 from itfmap import evaluate, geometry, pipeline, signals, simulate
 from itfmap.denoise import parse_filter_spec
 from itfmap.geometry import ArrayGeometry
-from itfmap.signals import SIGNAL_BAND, SegmentationPlan, load_record, record_format, save_record
-from itfmap.simulate import AugmentSpec
+from itfmap.signals import SegmentationPlan, load_record, record_format, save_record
 from itfmap.xcorr import InterpSpec
 
 EXIT_OK = 0
@@ -49,6 +47,8 @@ class CliError(Exception):
 
 def _switch(value: str) -> int:
     """An on/off setting: a bare flag, or 0/1 in a config file."""
+    if value not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {value!r}")
     return int(value)
 
 
@@ -187,62 +187,6 @@ def _config_comments(cfg: dict) -> list[str]:
 # Commands
 # ----------------------------------------------------------------------
 
-REFERENCE_BLOCK = 8192  # samples per block, a constant of the formula: each tone's sin/cos table spans one block
-
-
-def _envelope(u: np.ndarray) -> np.ndarray:
-    """0.2 + exp(-u**2 / 2) for |u| <= 1.5 from correctly rounded + and *
-    alone, so every CPU rounds it alike: (1 + q)**4 with q = expm1(-u**2 / 8)
-    by its Taylor terms through the 12th (remainder below 2e-17)."""
-    z, q = u * u * -0.125, np.zeros_like(u)
-    for k in range(12, 0, -1):
-        q += 1 / math.factorial(k)
-        q *= z
-    q *= q + 2
-    q *= q + 2
-    return np.add(q, 1.2, out=q)
-
-
-def _reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
-    """Broadband reference for synthesis, limited to `SIGNAL_BAND`: 24 tones
-    A sin(omega t + phase) under a slow envelope.  By sin(a + b) = sin a cos b
-    + cos a sin b, each block adds per tone its sin and cos table over one
-    block's angles b, scaled by A cos a and A sin a at the block's start."""
-    rng = np.random.default_rng(seed)
-    tones = [(2 * np.pi * f0, rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi))
-             for f0 in np.linspace(*SIGNAL_BAND, 24)]
-    block, starts = min(n, REFERENCE_BLOCK), np.arange(0, n, REFERENCE_BLOCK) * dt
-    tables, anchors = np.empty((len(tones), 2, block)), np.empty((len(tones), 2, len(starts)))
-    for (omega, amplitude, phase), (sin_b, cos_b), anchor in zip(tones, tables, anchors):
-        np.multiply(np.arange(block) * dt, omega, out=sin_b)
-        np.cos(sin_b, out=cos_b)
-        np.sin(sin_b, out=sin_b)
-        alpha = starts * omega + phase
-        anchor[:] = amplitude * np.sin(alpha), amplitude * np.cos(alpha)
-    x, tmp = np.zeros(n), np.empty(block)
-    for m, lo in enumerate(range(0, n, REFERENCE_BLOCK)):
-        xb, tb = x[lo : lo + block], tmp[: min(block, n - lo)]
-        for (sin_b, cos_b), (a_sin, a_cos) in zip(tables[:, :, : len(xb)], anchors[:, :, m]):
-            xb += np.multiply(cos_b, a_sin, out=tb)
-            xb += np.multiply(sin_b, a_cos, out=tb)
-        xb *= _envelope((np.arange(lo, lo + len(xb)) - n / 2) / (n / 3))
-    return np.divide(x, np.max(np.abs(x)), out=x)
-
-
-def _synthesize(
-    track: simulate.AngleTrack, geom: ArrayGeometry, dt: float,
-    seed: int, noise_seed: int, snr_db: float | None,
-) -> simulate.SimulatedRecord:
-    """The record `simulate` writes and `bench` scores: a reference waveform
-    seeded by `seed`, delayed along `track` onto `geom`, plus AWGN at
-    `snr_db` seeded by `noise_seed` unless `snr_db` is None."""
-    ref = _reference_waveform((len(track) - 1) * track.hop + track.window_length, dt, seed)
-    sim = simulate.synthesize_record(ref, track, geom, dt=dt)
-    if snr_db is None:
-        return sim
-    return replace(sim, record=simulate.add_record_noise(sim.record, snr_db, seed=noise_seed))
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     """synthesize a record + ground-truth sidecar"""
     cfg = merge_config(args)
@@ -251,6 +195,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config, dt = _pipeline_config(cfg, n_windows=n_windows)
     seed = cfg.get("seed", 0)
     with _config_guard():  # nothing is synthesized or written for a bad setting
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         record_format(out, cfg.get("format"))
         if "snr_db" in cfg:
             simulate.snr_power_ratio(cfg["snr_db"])
@@ -268,14 +214,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if any(k in cfg for k in ("augment_noise_sigma", "augment_scale", "augment_flip")):
             track = simulate.augment_track(
                 track,
-                AugmentSpec(
-                    noise_sigma=cfg.get("augment_noise_sigma", 0.0),
-                    scale_factor=cfg.get("augment_scale", 1.0),
-                    flip=bool(cfg.get("augment_flip", 0)),
-                    seed=seed,
-                ),
+                noise_sigma=cfg.get("augment_noise_sigma", 0.0),
+                scale_factor=cfg.get("augment_scale", 1.0),
+                flip=bool(cfg.get("augment_flip", 0)),
+                seed=seed,
             )
-    sim = _synthesize(track, config.geometry, dt, seed, seed, cfg.get("snr_db"))
+    sim = simulate.simulate_record(track, config.geometry, dt, seed, seed, cfg.get("snr_db"))
     try:
         save_record(sim.record, out, cfg.get("format"))
         simulate.save_truth(sim, out.with_suffix(out.suffix + ".truth.csv"))
@@ -344,17 +288,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
         length = (n_windows - 1) * base.plan.hop + base.plan.window_length
         for filter_id, method in itertools.product(evaluate.FILTERS, evaluate.METHODS):
             replace(base, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt, length)
-    datasets = []
-    for ri in range(n_records):
         # record 0 is the record `simulate` writes with the same seed,
         # window, hop and snr, so a bench cell can be cross-checked
-        # against a mapped record
-        track = simulate.make_track(
-            "random-walk", n_windows, seed=seed + 101 * ri,
-            az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
-            window_length=base.plan.window_length, hop=base.plan.hop,
-        )
-        datasets.append(_synthesize(track, base.geometry, dt, seed + 7 * ri, seed + ri, snr_db))
+        # against a mapped record.  Track 0 takes `seed` and every later
+        # seed is larger, so a seed NumPy rejects fails here, not below.
+        tracks = [
+            simulate.make_track(
+                "random-walk", n_windows, seed=seed + 101 * ri,
+                az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
+                window_length=base.plan.window_length, hop=base.plan.hop,
+            )
+            for ri in range(n_records)
+        ]
+    datasets = [simulate.simulate_record(track, base.geometry, dt, seed + 7 * ri, seed + ri, snr_db)
+                for ri, track in enumerate(tracks)]
     cells = evaluate.run_benchmark(datasets, base)
     try:
         evaluate.emit_report_csv(cells, out, _config_comments(cfg))

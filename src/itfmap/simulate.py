@@ -1,6 +1,7 @@
 """Closed-loop signal synthesis: ground-truth angle tracks, track
-augmentation, per-window fractionally delayed channel synthesis, and channel
-noise injection.
+augmentation, the broadband reference waveform, per-window fractionally
+delayed channel synthesis, channel noise injection, and `simulate_record`,
+the recipe of the record `itfmap simulate` writes and `itfmap bench` scores.
 
 The synthesized record embeds its own truth (angles and per-window delays),
 so the whole pipeline can be scored against it.
@@ -8,19 +9,21 @@ so the whole pipeline can be scored against it.
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from itfmap.geometry import ArrayGeometry, tdoa_from_direction
-from itfmap.signals import SampleRecord, SegmentationPlan, read_table, write_table
+from itfmap.signals import SIGNAL_BAND, SampleRecord, SegmentationPlan, read_table, write_table
 
 TRACK_KINDS = ("constant", "linear-sweep", "random-walk")
 MAX_DELAY_SAMPLES = 2**16  # largest baseline transit (samples) the command line synthesizes
 SYNTH_BLOCK_SAMPLES = 2**14  # padded window samples delayed per block; a record's bytes do not depend on it
+REFERENCE_BLOCK = 8192  # samples per block, a constant of the formula: each tone's sin/cos table spans one block
 
 
 @dataclass(frozen=True)
@@ -56,23 +59,6 @@ class AngleTrack:
 
     def __len__(self) -> int:
         return len(self.az_deg)
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Track augmentation: Gaussian elevation noise, outward scaling about
-    the centroid, horizontal flip.  Applied in that order, seeded."""
-
-    noise_sigma: float = 1.0
-    scale_factor: float = 1.2
-    flip: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.scale_factor < np.inf:
-            raise ValueError(f"scale_factor must be finite and > 0, got {self.scale_factor}")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -135,30 +121,75 @@ def make_track(
     return AngleTrack(az, el, window_length=window_length, hop=hop)
 
 
-def augment_track(track: AngleTrack, spec: AugmentSpec) -> AngleTrack:
+def augment_track(
+    track: AngleTrack, noise_sigma: float = 1.0, scale_factor: float = 1.2, flip: bool = False, seed: int = 0
+) -> AngleTrack:
     """Noise -> scale -> flip, deterministic per seed.
 
-    Noise adds N(0, sigma^2) to elevation; scaling expands both angles
-    outward about the track centroid; flip rotates the azimuth by 180
-    degrees.  Elevation is re-clipped to [0, 90] after every stage, which
-    keeps the implied delays inside the transit gate (the delay norm is
-    (d/c) cos el <= d/c for any baseline).
+    Noise adds N(0, noise_sigma^2) to elevation; scaling expands both angles
+    outward about the track centroid by `scale_factor`; flip rotates the
+    azimuth by 180 degrees.  Elevation is re-clipped to [0, 90] after every
+    stage, which keeps the implied delays inside the transit gate (the delay
+    norm is (d/c) cos el <= d/c for any baseline).
     """
+    if not 0 < scale_factor < np.inf:
+        raise ValueError(f"scale_factor must be finite and > 0, got {scale_factor}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     az = track.az_deg.copy()
     el = track.el_deg.copy()
-    rng = np.random.default_rng(spec.seed)
-    if spec.noise_sigma > 0:
-        el = el + rng.normal(0.0, spec.noise_sigma, len(el))
+    rng = np.random.default_rng(seed)
+    if noise_sigma > 0:
+        el = el + rng.normal(0.0, noise_sigma, len(el))
         el = np.clip(el, 0.0, 90.0)
-    if spec.scale_factor != 1.0:
+    if scale_factor != 1.0:
         az_c = float(np.mean(az))
         el_c = float(np.mean(el))
-        az = az_c + spec.scale_factor * (az - az_c)
-        el = np.clip(el_c + spec.scale_factor * (el - el_c), 0.0, 90.0)
-    if spec.flip:
+        az = az_c + scale_factor * (az - az_c)
+        el = np.clip(el_c + scale_factor * (el - el_c), 0.0, 90.0)
+    if flip:
         az = az + 180.0
     az = az % 360.0
     return AngleTrack(az, el, window_length=track.window_length, hop=track.hop, valid=track.valid.copy())
+
+
+def _envelope(u: np.ndarray) -> np.ndarray:
+    """0.2 + exp(-u**2 / 2) for |u| <= 1.5 from correctly rounded + and *
+    alone, so every CPU rounds it alike: (1 + q)**4 with q = expm1(-u**2 / 8)
+    by its Taylor terms through the 12th (remainder below 2e-17)."""
+    z, q = u * u * -0.125, np.zeros_like(u)
+    for k in range(12, 0, -1):
+        q += 1 / math.factorial(k)
+        q *= z
+    q *= q + 2
+    q *= q + 2
+    return np.add(q, 1.2, out=q)
+
+
+def reference_waveform(n: int, dt: float, seed: int) -> np.ndarray:
+    """Broadband reference for synthesis, limited to `SIGNAL_BAND`: 24 tones
+    A sin(omega t + phase) under a slow envelope.  By sin(a + b) = sin a cos b
+    + cos a sin b, each block adds per tone its sin and cos table over one
+    block's angles b, scaled by A cos a and A sin a at the block's start."""
+    rng = np.random.default_rng(seed)
+    tones = [(2 * np.pi * f0, rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi))
+             for f0 in np.linspace(*SIGNAL_BAND, 24)]
+    block, starts = min(n, REFERENCE_BLOCK), np.arange(0, n, REFERENCE_BLOCK) * dt
+    tables, anchors = np.empty((len(tones), 2, block)), np.empty((len(tones), 2, len(starts)))
+    for (omega, amplitude, phase), (sin_b, cos_b), anchor in zip(tones, tables, anchors):
+        np.multiply(np.arange(block) * dt, omega, out=sin_b)
+        np.cos(sin_b, out=cos_b)
+        np.sin(sin_b, out=sin_b)
+        alpha = starts * omega + phase
+        anchor[:] = amplitude * np.sin(alpha), amplitude * np.cos(alpha)
+    x, tmp = np.zeros(n), np.empty(block)
+    for m, lo in enumerate(range(0, n, REFERENCE_BLOCK)):
+        xb, tb = x[lo : lo + block], tmp[: min(block, n - lo)]
+        for (sin_b, cos_b), (a_sin, a_cos) in zip(tables[:, :, : len(xb)], anchors[:, :, m]):
+            xb += np.multiply(cos_b, a_sin, out=tb)
+            xb += np.multiply(sin_b, a_cos, out=tb)
+        xb *= _envelope((np.arange(lo, lo + len(xb)) - n / 2) / (n / 3))
+    return np.divide(x, np.max(np.abs(x)), out=x)
 
 
 def fractional_delay(segment: np.ndarray, delay_samples: float | np.ndarray) -> np.ndarray:
@@ -263,6 +294,20 @@ def add_record_noise(record: SampleRecord, snr_db: float, seed: int = 0) -> Samp
     for i, channel in enumerate(record.channels):
         add_awgn(channel, snr_db, seed=seed + i, out=noisy[i])
     return SampleRecord(noisy, record.sample_interval, record.label)
+
+
+def simulate_record(
+    track: AngleTrack, geom: ArrayGeometry, dt: float,
+    seed: int, noise_seed: int, snr_db: float | None,
+) -> SimulatedRecord:
+    """The record `itfmap simulate` writes and `itfmap bench` scores: a
+    reference waveform seeded by `seed`, delayed along `track` onto `geom`,
+    plus AWGN at `snr_db` seeded by `noise_seed` unless `snr_db` is None."""
+    ref = reference_waveform((len(track) - 1) * track.hop + track.window_length, dt, seed)
+    sim = synthesize_record(ref, track, geom, dt=dt)
+    if snr_db is None:
+        return sim
+    return replace(sim, record=add_record_noise(sim.record, snr_db, seed=noise_seed))
 
 
 # ----------------------------------------------------------------------

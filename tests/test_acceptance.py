@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from itfmap import evaluate, pipeline, simulate, wavelets
-from itfmap.cli import _reference_waveform, main
+from itfmap.cli import main
 from itfmap.denoise import DEFAULT_BAND, bandpass_filter, kalman_filter
 from itfmap.evaluate import map_error, run_benchmark
 from itfmap.geometry import ArrayGeometry, direction_from_tdoa, tdoa_from_direction
@@ -71,9 +71,8 @@ def test_criterion_3_noise_free_closed_loop(criterion_reporter):
         az_step=0.5, el_step=0.3, el_range=(10.0, 75.0),
         window_length=W, hop=hop,
     )
-    ref = _reference_waveform(n_ref, DT, seed=3)
     t0 = time.perf_counter()
-    sim = simulate.synthesize_record(ref, track, geom, dt=DT)
+    sim = simulate.simulate_record(track, geom, DT, seed=3, noise_seed=3, snr_db=None)  # n_ref samples
     plan = SegmentationPlan(W, hop)
     dists = {}
     for label, interp in (("factor1", InterpSpec()), ("cubic8", InterpSpec("cubic", 8))):
@@ -105,10 +104,7 @@ def test_criterion_4_full_grid_completes(tmp_path, criterion_reporter):
             "random-walk", n_win, seed=40 + ri, az0=100.0 + 60 * ri, el0=45.0,
             el_range=(15.0, 70.0), window_length=W, hop=hop,
         )
-        ref = _reference_waveform((n_win - 1) * hop + W, DT, seed=50 + ri)
-        sim = simulate.synthesize_record(ref, track, geom, dt=DT)
-        rec = simulate.add_record_noise(sim.record, 20.0, seed=60 + ri)
-        datasets.append(simulate.SimulatedRecord(rec, sim.truth, sim.tau1_s, sim.tau2_s))
+        datasets.append(simulate.simulate_record(track, geom, DT, seed=50 + ri, noise_seed=60 + ri, snr_db=20.0))
     base = pipeline.PipelineConfig(plan=plan, geometry=geom)
     cells = run_benchmark(datasets, base)
     csv_path = evaluate.emit_report_csv(cells, tmp_path / "grid.csv")
@@ -137,7 +133,6 @@ def test_criterion_5_ccwd_directional_claim(criterion_reporter):
     geom = ArrayGeometry()
     W, hop, n_win = 256, 16, 300
     plan = SegmentationPlan(W, hop)
-    n_ref = (n_win - 1) * hop + W
     t0 = time.perf_counter()
     wins = 0
     margins = []
@@ -147,16 +142,14 @@ def test_criterion_5_ccwd_directional_claim(criterion_reporter):
             az_step=0.5, el_step=0.3, el_range=(15.0, 70.0),
             window_length=W, hop=hop,
         )
-        ref = _reference_waveform(n_ref, DT, seed=100 + seed)
-        sim = simulate.synthesize_record(ref, track, geom, dt=DT)
-        noisy = simulate.add_record_noise(sim.record, 10.0, seed=200 + seed)
+        sim = simulate.simulate_record(track, geom, DT, seed=100 + seed, noise_seed=200 + seed, snr_db=10.0)
         dist = {}
         for method in ("cctd", "ccwd"):
             cfg = pipeline.PipelineConfig(
                 filter_spec=None, cc_method=method, interp=InterpSpec("cubic", 8),
                 plan=plan, geometry=geom,
             )
-            res = pipeline.map_record(noisy, cfg)
+            res = pipeline.map_record(sim.record, cfg)
             dist[method] = map_error(res.track(), sim.truth)
         wins += dist["ccwd"] <= dist["cctd"]
         margins.append(dist["cctd"] - dist["ccwd"])

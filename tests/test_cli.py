@@ -266,6 +266,9 @@ class TestConfigFile:
         ["simulate", "--augment-noise-sigma", "-1"],
         ["simulate", "--augment-noise-sigma", "nan"],
         ["simulate", "--format", "xml"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--seed", "-1", "--track", "constant"],
+        ["bench", "--seed", "-1"],
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
@@ -278,6 +281,13 @@ class TestConfigFile:
         cfgf.write_text("snr_db = -inf\n")
         assert run(command, "--config", str(cfgf), "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("value", ["7", "-3", "2"])
+    def test_switch_other_than_0_or_1_from_file_is_config_error(self, tmp_path, value):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"augment_flip = {value}\n")
+        assert run("simulate", "--config", str(cfgf), "--output", str(tmp_path / "o.csv")) == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_neutral_augment_settings_leave_the_record_unchanged(self, tmp_path):
         cfgf = tmp_path / "run.cfg"

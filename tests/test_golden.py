@@ -29,7 +29,9 @@ import pytest
 import numpy as np
 
 from itfmap.cli import EXIT_OK, main
+from itfmap.geometry import ArrayGeometry
 from itfmap.signals import SampleRecord, load_record, save_record
+from itfmap.simulate import make_track, save_truth, simulate_record
 from itfmap.xcorr import CC_METHODS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +116,16 @@ def test_golden_set_is_complete():
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_output_matches_golden(produced, name):
     assert (produced / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_library_recipe_writes_the_golden_record(tmp_path):
+    # `simulate` with the SIMULATE settings, by the library alone
+    track = make_track("random-walk", 60, seed=11, window_length=128, hop=1)
+    sim = simulate_record(track, ArrayGeometry(), 4e-9, 11, 11, 20.0)
+    save_record(sim.record, tmp_path / RECORD)
+    save_truth(sim, tmp_path / (RECORD + ".truth.csv"))
+    for name in (RECORD, RECORD + ".truth.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 # OpenBLAS picks its dot-product kernels per CPU, and OPENBLAS_CORETYPE forces

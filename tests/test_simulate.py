@@ -5,21 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from itfmap import cli, pipeline, simulate, xcorr
-from itfmap.cli import _reference_waveform
+from itfmap import pipeline, simulate, xcorr
 from itfmap.evaluate import map_error
 from itfmap.geometry import ArrayGeometry, direction_from_tdoa, tdoa_from_direction
 from itfmap.signals import SIGNAL_BAND, SegmentationPlan, normalize_window, segment
 from itfmap.simulate import (
     AngleTrack,
-    AugmentSpec,
     add_awgn,
     augment_track,
     fractional_delay,
     load_truth,
     make_track,
+    reference_waveform,
     save_truth,
     snr_power_ratio,
+    simulate_record,
     synthesize_record,
 )
 
@@ -82,23 +82,22 @@ class TestAugmentTrack:
     def base(self):
         return make_track("random-walk", 64, seed=3, el_range=(20.0, 70.0))
 
-    def test_identity_spec(self):
+    def test_identity_parameters(self):
         tr = self.base()
-        out = augment_track(tr, AugmentSpec(noise_sigma=0.0, scale_factor=1.0, flip=False))
+        out = augment_track(tr, noise_sigma=0.0, scale_factor=1.0, flip=False)
         np.testing.assert_array_equal(out.az_deg, tr.az_deg)
         np.testing.assert_array_equal(out.el_deg, tr.el_deg)
 
     def test_flip_only_rotates_azimuth_180(self):
         tr = make_track("constant", 5, az0=30.0, el0=40.0)
-        out = augment_track(tr, AugmentSpec(noise_sigma=0.0, scale_factor=1.0, flip=True))
+        out = augment_track(tr, noise_sigma=0.0, scale_factor=1.0, flip=True)
         assert np.all(out.az_deg == 210.0)
         np.testing.assert_array_equal(out.el_deg, tr.el_deg)
 
     def test_noise_deterministic_and_clipped(self):
         tr = self.base()
-        spec = AugmentSpec(noise_sigma=1.0, scale_factor=1.0, flip=False, seed=11)
-        a = augment_track(tr, spec)
-        b = augment_track(tr, spec)
+        a = augment_track(tr, noise_sigma=1.0, scale_factor=1.0, flip=False, seed=11)
+        b = augment_track(tr, noise_sigma=1.0, scale_factor=1.0, flip=False, seed=11)
         np.testing.assert_array_equal(a.el_deg, b.el_deg)
         assert np.all((a.el_deg >= 0.0) & (a.el_deg <= 90.0))
         assert not np.array_equal(a.el_deg, tr.el_deg)
@@ -107,20 +106,21 @@ class TestAugmentTrack:
 
     def test_outward_scaling_expands_spread(self):
         tr = self.base()
-        out = augment_track(tr, AugmentSpec(noise_sigma=0.0, scale_factor=1.2, flip=False))
+        out = augment_track(tr, noise_sigma=0.0, scale_factor=1.2, flip=False)
         assert np.std(out.el_deg) > np.std(tr.el_deg)
         assert np.all((out.el_deg >= 0.0) & (out.el_deg <= 90.0))
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            AugmentSpec(scale_factor=0.0)
-        with pytest.raises(ValueError):
-            AugmentSpec(noise_sigma=-1.0)
+    def test_parameter_validation(self):
+        tr = self.base()
+        with pytest.raises(ValueError, match="scale_factor"):
+            augment_track(tr, scale_factor=0.0)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            augment_track(tr, noise_sigma=-1.0)
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError):
-                AugmentSpec(scale_factor=bad)
-            with pytest.raises(ValueError):
-                AugmentSpec(noise_sigma=bad)
+            with pytest.raises(ValueError, match="scale_factor"):
+                augment_track(tr, scale_factor=bad)
+            with pytest.raises(ValueError, match="noise_sigma"):
+                augment_track(tr, noise_sigma=bad)
 
 
 def track_delays(track, geom, dt):
@@ -297,7 +297,7 @@ class TestSynthesize:
 
 def direct_reference(n, dt, seed):
     """The reference's direct formula, amplitude * sin(omega * t + phase) per
-    sample and tone under an `np.exp` envelope, which `_reference_waveform`
+    sample and tone under an `np.exp` envelope, which `reference_waveform`
     computed before angle addition."""
     rng = np.random.default_rng(seed)
     t = np.arange(n) * dt
@@ -310,11 +310,11 @@ def direct_reference(n, dt, seed):
 
 
 def angle_addition_reference(n, dt, seed):
-    """`_reference_waveform` as whole-array expressions per tone: the sin and
+    """`reference_waveform` as whole-array expressions per tone: the sin and
     cos tables of one block's angles, tiled over the record, times the
     tone's terms at each block start, repeated over the block."""
     rng = np.random.default_rng(seed)
-    block = cli.REFERENCE_BLOCK
+    block = simulate.REFERENCE_BLOCK
     x = np.zeros(n)
     for f0 in np.linspace(*SIGNAL_BAND, 24):
         omega, amplitude, phase = 2 * np.pi * f0, rng.uniform(0.5, 1.0), rng.uniform(0, 2 * np.pi)
@@ -322,36 +322,36 @@ def angle_addition_reference(n, dt, seed):
         alpha = np.arange(0, n, block) * dt * omega + phase
         x += np.resize(np.cos(beta), n) * np.repeat(amplitude * np.sin(alpha), block)[:n]
         x += np.resize(np.sin(beta), n) * np.repeat(amplitude * np.cos(alpha), block)[:n]
-    x *= cli._envelope((np.arange(n) - n / 2) / (n / 3))
+    x *= simulate._envelope((np.arange(n) - n / 2) / (n / 3))
     return x / np.max(np.abs(x))
 
 
-class TestCliSynthesis:
+class TestRecordRecipe:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_blocks_match_the_angle_addition_formula(self, seed):
-        block = cli.REFERENCE_BLOCK
+        block = simulate.REFERENCE_BLOCK
         for n in (2, block - 1, block, block + 1, 3 * block + 5):
-            assert _reference_waveform(n, DT, seed).tobytes() == angle_addition_reference(n, DT, seed).tobytes()
+            assert reference_waveform(n, DT, seed).tobytes() == angle_addition_reference(n, DT, seed).tobytes()
 
     def test_angle_addition_stays_near_the_direct_formula(self):
         # one argument ulp at the record's end is 4.7e-10 rad; the sums differ by less
         n = 2**20
-        np.testing.assert_allclose(_reference_waveform(n, DT, 1), direct_reference(n, DT, 1), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(reference_waveform(n, DT, 1), direct_reference(n, DT, 1), rtol=0, atol=1e-9)
 
     def test_envelope_matches_exp(self):
         n = 2**20
         for u in ((np.arange(n) - n / 2) / (n / 3), np.linspace(-1.5, 1.5, 10_001)):
-            np.testing.assert_allclose(cli._envelope(u), 0.2 + np.exp(-0.5 * u**2), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(simulate._envelope(u), 0.2 + np.exp(-0.5 * u**2), rtol=1e-15, atol=0)
 
     def test_block_is_a_multiple_of_64(self):
-        assert cli.REFERENCE_BLOCK % 64 == 0
+        assert simulate.REFERENCE_BLOCK % 64 == 0
 
     def test_synthesis_memory_is_bounded_by_the_record(self):
         # 1,024 windows at hop = W = 256: a record of 262,144 samples, 6 MiB
         tr = make_track("linear-sweep", 1024, az0=120.0, az1=150.0, el0=45.0, el1=55.0, window_length=256, hop=256)
         tracemalloc.start()
         try:
-            sim = cli._synthesize(tr, ArrayGeometry(), DT, seed=1, noise_seed=1, snr_db=20.0)
+            sim = simulate_record(tr, ArrayGeometry(), DT, seed=1, noise_seed=1, snr_db=20.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -370,7 +370,7 @@ class TestTruthLabels:
     def test_noiseless_sweep_scores_near_the_grid_floor(self, hop, n):
         geom = ArrayGeometry()
         tr = make_track("linear-sweep", n, az0=120.0, az1=150.0, el0=45.0, el1=55.0, window_length=256, hop=hop)
-        sim = synthesize_record(_reference_waveform((n - 1) * hop + 256, DT, 1), tr, geom, dt=DT)
+        sim = simulate_record(tr, geom, DT, seed=1, noise_seed=1, snr_db=None)
         config = pipeline.PipelineConfig(cc_method="cctd", interp=xcorr.InterpSpec("cubic", 8),
                                          plan=SegmentationPlan(256, hop), geometry=geom)
         error = map_error(pipeline.map_record(sim.record, config).track(), sim.truth)
