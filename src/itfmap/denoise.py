@@ -149,11 +149,5 @@ def wavelet_denoise(
     *parts, lengths = coeffs
     n = len(x)
     for i in range(1, len(parts)):  # details only; approximation untouched
-        d = parts[i]
-        sigma = wavelets.noise_sigma(d)
-        if rule == "universal":
-            t = wavelets.universal_threshold(sigma, n)
-        else:
-            t = wavelets.sure_threshold(d, sigma)
-        parts[i] = wavelets.soft_threshold(d, t)
+        parts[i] = wavelets.soft_threshold(parts[i], wavelets.level_threshold(parts[i], rule, n))
     return wavelets.waverec(parts + [lengths], basis)

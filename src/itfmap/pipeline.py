@@ -146,19 +146,30 @@ def window_peaks(
     by each of `methods` (default `config.cc_method`), `WINDOW_CHUNK`
     windows at a time, keeping only each series' integer peak and
     neighborhood: memory holds one block, never all the windows."""
-    w, total = config.plan.window_length, config.plan.count(record.length)
-    views = sliding_window_view(record.channels, w, axis=1)[:, :: config.plan.hop]
+    w, hop, total = config.plan.window_length, config.plan.hop, config.plan.count(record.length)
+    dt = record.sample_interval
+    views = sliding_window_view(record.channels, w, axis=1)[:, ::hop]
     lost = np.zeros(total, dtype=bool)
     parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods or (config.cc_method,)}
     for start in range(0, total, WINDOW_CHUNK):
-        block = views[:, start : start + WINDOW_CHUNK].copy()
-        bad = normalize_segments(block).any(axis=0)
+        raw = views[:, start : start + WINDOW_CHUNK]
+        block = raw.copy()
+        degenerate, peaks = normalize_segments(block)
+        bad = degenerate.any(axis=0)
         lost[start : start + WINDOW_CHUNK] = bad
         if bad.all():
             continue
-        good = block[:, ~bad] if bad.any() else block
+        keep = ~bad if bad.any() else slice(None)
+        good = block[:, keep]
         for m, found in parts.items():
-            coeff = xcorr.correlate_block(good, m, record.sample_interval)
+            details = None
+            if m == "ccwd":
+                # one transform of the raw samples the windows cover: the span
+                # they lie in when they overlap, else the windows themselves
+                stop = start * hop + (raw.shape[1] - 1) * hop + w
+                source = record.channels[:, start * hop : stop] if hop < w else raw
+                details = [d[:, keep] for d in xcorr.wavelet_details(source, min(hop, w), block, peaks, dt)]
+            coeff = xcorr.correlate_block(good, m, dt, details)
             found.append(xcorr.peak_neighborhoods(coeff.reshape(-1, 2 * w - 1)))
     fields = ("lag", "neighborhood")
     return {

@@ -146,20 +146,22 @@ def normalize_window(window: Window) -> Window:
     if window.length < 2:
         raise ValueError("window must have at least 2 samples per segment")
     segs = window.segments.astype(np.float64, copy=True)
-    degenerate = normalize_segments(segs)
+    degenerate, _ = normalize_segments(segs)
     return replace(window, segments=segs, degenerate=tuple(bool(f) for f in degenerate))
 
 
-def normalize_segments(segments: np.ndarray) -> np.ndarray:
+def normalize_segments(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`normalize_window` of float64 segments along their last axis, in
-    place; returns the degenerate flag of every segment."""
+    place; returns the degenerate flag of every segment and the peak it was
+    divided by (1.0 where degenerate)."""
     with np.errstate(invalid="ignore"):  # inf - inf; such segments are flagged below
         segments -= segments.mean(axis=-1, keepdims=True)
     peaks = np.max(np.abs(segments), axis=-1)
     degenerate = ~((peaks >= _DEGENERATE_EPS) & (peaks < np.inf))  # NaN and inf too
     segments[degenerate] = 0.0
-    segments /= np.where(degenerate, 1.0, peaks)[..., None]
-    return degenerate
+    peaks[degenerate] = 1.0
+    segments /= peaks[..., None]
+    return degenerate, peaks
 
 
 # ----------------------------------------------------------------------

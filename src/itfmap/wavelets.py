@@ -261,13 +261,32 @@ def sure_threshold(detail: np.ndarray, sigma: float) -> float:
     """
     if sigma <= 0:
         return 0.0
-    x = np.abs(detail / sigma)
+    return _sure_of_sorted(np.sort(np.abs(detail / sigma)), sigma)
+
+
+def _sure_of_sorted(x: np.ndarray, sigma: float) -> float:
+    """`sure_threshold` from the sorted |detail / sigma|, sigma > 0."""
     n = len(x)
-    sx2 = np.sort(x) ** 2
+    sx2 = x**2
     cum = np.cumsum(sx2)
     i = np.arange(1, n + 1)
     risk = (n - 2 * i + cum + (n - i) * sx2) / n
     return sigma * float(np.sqrt(sx2[np.argmin(risk)]))
+
+
+def level_threshold(detail: np.ndarray, rule: str, n: int) -> float:
+    """The threshold of one detail level under `rule`: `universal_threshold`
+    or `sure_threshold` at the `noise_sigma` of `detail`, bit for bit, from
+    one sort of |detail| (`n` is the full signal length)."""
+    a = np.sort(np.abs(detail))
+    k = len(a) // 2
+    # np.median: the middle value, or the mean of the middle two; NaN if any
+    median = np.nan if np.isnan(a[-1]) else a[k] if len(a) % 2 else (a[k - 1] + a[k]) / 2.0
+    sigma = float(median) / 0.6745
+    if rule == "universal":
+        return universal_threshold(sigma, n)
+    # dividing by sigma > 0 keeps the order: sort(|d|) / sigma is sort(|d / sigma|)
+    return 0.0 if sigma <= 0 else _sure_of_sorted(a / sigma, sigma)
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

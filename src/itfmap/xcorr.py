@@ -3,7 +3,8 @@
 Three routes to the same lag axis: direct time-domain (`cc_time`), conjugate
 spectral product (`cc_freq`) and undecimated-wavelet-domain (`cc_wavelet`).
 `correlate_block` runs them on a block of windows at once; the `cc_*`
-functions and `correlate` are its one-pair forms.
+functions and `correlate` are its one-pair forms.  `wavelet_details` gives
+it the ccwd details of a record's block from one transform of its samples.
 `peak_neighborhoods` and `refine_peaks` find and interpolate the peaks of
 many series at once (`refine_peak` is the one-series form).
 
@@ -18,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from itfmap._core import correlate_full
 from itfmap import wavelets
@@ -26,6 +28,12 @@ from itfmap.signals import SIGNAL_BAND
 CC_METHODS = ("cctd", "ccfd", "ccwd")
 DEFAULT_CCWD_LEVELS = 2
 _CCWD_FILTERS = wavelets.level_filters(wavelets.get_basis("sym4"), DEFAULT_CCWD_LEVELS)  # built once
+# the first samples of a window whose detail at each level reads the zero
+# padding before it: the filter spans summed down the pyramid (sym4: 7, 21)
+_CCWD_HEADS = np.cumsum([f.shape[1] - 1 for f in _CCWD_FILTERS]).tolist()
+# level 1 at half gain: every level comes out halved, exactly, and no sum of
+# `wavelet_details`' transform overflows, whatever its finite samples
+_CCWD_HALF_FILTERS = [_CCWD_FILTERS[0] / 2.0, *_CCWD_FILTERS[1:]]
 INTERP_NEIGHBORHOOD = 8          # integer lags kept on each side of the peak
 REFINE_BATCH_ROWS = 256          # rows resampled together: bounds the dense-grid temporaries
 
@@ -126,16 +134,50 @@ def band_levels(dt: float) -> list[int]:
     return selected
 
 
-def _wavelet_spectrum(block: np.ndarray, selected: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+def wavelet_details(
+    source: np.ndarray, hop: int, windows: np.ndarray, peaks: np.ndarray, dt: float
+) -> list[np.ndarray]:
+    """The ccwd detail levels of a block of normalized `windows`, a
+    (1 + P, K, W) array, from one transform of the raw samples they cover.
+
+    `peaks` (1 + P, K) holds what each segment was divided by.  Each row of
+    `source`, flattened, holds one channel's raw samples with window k from
+    sample k * `hop` on: the span the windows lie in, or the raw windows
+    themselves with `hop` = W.  The transform is causal and
+    shift-equivariant, so past its level's head (`_CCWD_HEADS`) a window's
+    detail is the source's, divided by the peak; the head, which reads the
+    zero padding before the window, is the transform of the normalized
+    window's first samples, placed in the same row behind zeros.  Every
+    level is halved (see `_CCWD_HALF_FILTERS`), which leaves the
+    coefficients as they are.  A non-finite source sample reaches only the
+    windows that hold it, which are degenerate.
+    """
+    levels, (c, k, w) = max(band_levels(dt)), windows.shape
+    reach, n = _CCWD_HEADS[levels - 1], source.size
+    head = min(reach, w)
+    # one row for all: the source's rows end to end, a window's detail past
+    # its head reading only its own samples, then each head behind `reach` zeros
+    row = np.zeros(n + c * k * (reach + head))
+    row[:n].reshape(source.shape)[...] = source
+    row[n:].reshape(c, k, -1)[..., reach:] = windows[..., :head]
+    with np.errstate(invalid="ignore"):  # inf - inf next to a non-finite sample
+        transformed = wavelets.modwt_levels(row, _CCWD_HALF_FILTERS[:levels], approximation=False)
+    out = []
+    for d, h in zip(transformed, _CCWD_HEADS):
+        level = np.empty_like(windows)
+        level[..., :h] = d[n:].reshape(c, k, -1)[..., reach : reach + h]
+        tail = sliding_window_view(d[:n].reshape(c, -1), w, axis=-1)[:, ::hop]
+        np.divide(tail[..., h:], peaks[..., None], out=level[..., h:])
+        out.append(level)
+    return out
+
+
+def _wavelet_spectrum(details: list[np.ndarray], selected: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """The ccwd cross spectrum and denominator of `correlate_block`: sums over
-    the `selected` levels of their `m`-point cross spectra and their weights
-    (see `cc_wavelet`), leaving out a level where either segment has no
-    energy.  No step calls BLAS, whose summation order depends on the CPU."""
-    n = block.shape[-1]
-    if n < 2**DEFAULT_CCWD_LEVELS:
-        raise ValueError(f"signal of {n} samples too short for {DEFAULT_CCWD_LEVELS} levels")
-    # deeper levels and the last approximation go unused
-    details = wavelets.modwt_levels(block, _CCWD_FILTERS[: max(selected)], approximation=False)
+    the `selected` levels of `details` of their `m`-point cross spectra and
+    their weights (see `cc_wavelet`), leaving out a level where either
+    segment has no energy.  No step calls BLAS, whose summation order depends
+    on the CPU."""
     cross, wsum = 0.0, 0.0
     for j in selected:
         d = details[j - 1]
@@ -291,10 +333,13 @@ def correlate(x: np.ndarray, y: np.ndarray, method: str, dt: float = 4e-9) -> Co
     return CorrelationSeries(np.arange(1 - len(x), len(x)), correlate_block(_validated(x, y), method, dt)[0, 0])
 
 
-def correlate_block(block: np.ndarray, method: str, dt: float = 4e-9) -> np.ndarray:
+def correlate_block(
+    block: np.ndarray, method: str, dt: float = 4e-9, details: list[np.ndarray] | None = None
+) -> np.ndarray:
     """Correlation coefficients of each window's first segment with each of
     its others, by `method`; ``ccwd`` runs on sym4 at `DEFAULT_CCWD_LEVELS`
-    levels.
+    levels, on `details` (as `wavelet_details` gives them) when given and
+    otherwise on the transform of `block`.
 
     `block` is a (1 + P, K, W) float64 array of K windows; the result is a
     (K, P, 2W - 1) array over lags -(W-1) .. W-1.  A segment's norm, and
@@ -306,7 +351,12 @@ def correlate_block(block: np.ndarray, method: str, dt: float = 4e-9) -> np.ndar
     n = block.shape[-1]
     m = 1 << int(np.ceil(np.log2(2 * n - 1)))  # holds every lag
     if method == "ccwd":
-        cross, denom = _wavelet_spectrum(block, band_levels(dt), m)
+        selected = band_levels(dt)
+        if n < 2**DEFAULT_CCWD_LEVELS:
+            raise ValueError(f"signal of {n} samples too short for {DEFAULT_CCWD_LEVELS} levels")
+        if details is None:  # deeper levels and the last approximation go unused
+            details = wavelets.modwt_levels(block, _CCWD_FILTERS[: max(selected)], approximation=False)
+        cross, denom = _wavelet_spectrum(details, selected, m)
     else:
         # vecdot calls BLAS, so a norm may round differently on another CPU
         # (ccwd avoids it); on rows made contiguous it matches `np.linalg.norm`,

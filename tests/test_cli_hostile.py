@@ -11,20 +11,28 @@ infinities, out-of-range angles, non-positive augmentation and unknown track
 kinds and formats.  Map CSVs lose or change their header, gain or lose a
 field, carry text in a number field, a valid field other than 0/1, or valid
 rows with empty, non-finite or out-of-range angles, under file names holding
-``&``, ``<`` and ``"``.
+``&``, ``<`` and ``"``.  ccwd, which filters the raw samples a block of
+windows covers, maps a large DC offset, near-overflow samples and
+non-finite samples next to valid windows with the lags of the one-window
+forms.
 """
 
 import struct
 import tempfile
+import warnings
 import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from itfmap.cli import main
-from itfmap.signals import MAGIC
+from itfmap.geometry import ArrayGeometry
+from itfmap.pipeline import PipelineConfig, correlate_window, window_peaks
+from itfmap.signals import MAGIC, SegmentationPlan, load_record, normalize_window, segment
+from itfmap.simulate import make_track, simulate_record
 
 DOCUMENTED = {0, 3, 4, 5, 6}
 SPECIALS = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0]
@@ -104,6 +112,53 @@ def test_map_exits_with_a_documented_code(record, window, hop, filt, cc, interp,
             "--hop", str(hop), "--filter", filt, "--cc", cc, "--interp", interp,
         ])
     assert code in DOCUMENTED
+
+
+def hostile_ccwd_record(kind: str) -> np.ndarray:
+    """A noisy 316-sample simulated record made hostile as `kind` names: a
+    DC offset of 1e6 times its amplitude on every channel, samples of about
+    2**1000 with two runs of +-0.9 times the largest float (whose unscaled
+    wavelet details overflow), or NaN and inf samples in all three channels
+    just before the window that starts at sample 41."""
+    track = make_track("linear-sweep", 64, window_length=64, hop=4)
+    data = simulate_record(track, ArrayGeometry(), 4e-9, 5, 5, 20.0).record.channels.copy()
+    if kind == "dc-offset":
+        data += 1e6 * np.abs(data).max()
+    elif kind == "near-overflow":
+        data *= 2.0**1000
+        big = 0.9 * np.finfo(np.float64).max
+        data[0, 100:106] = data[1, 180:186] = big * (-1.0) ** np.arange(6)
+    else:
+        data[0, 40], data[1, 38], data[2, 40] = np.nan, np.inf, -np.inf
+    return data
+
+
+@pytest.mark.parametrize("hop", [1, 5, 70])
+@pytest.mark.parametrize("kind", ["dc-offset", "near-overflow", "non-finite"])
+def test_ccwd_maps_hostile_samples_as_the_per_window_form(capsys, kind, hop):
+    """ccwd exits 0 on each hostile record, with no traceback and no
+    RuntimeWarning, and its integer lags are those of the one-window forms."""
+    data = hostile_ccwd_record(kind)
+    plan = SegmentationPlan(64, hop)
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "rec.csv"
+        inp.write_bytes(record_file(data, csv=True)[1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["map", "--input", str(inp), "--output", str(Path(tmp) / "map.csv"), "--window", "64",
+                         "--hop", str(hop), "--cc", "ccwd", "--interp", "none"])
+        record = load_record(inp)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    np.testing.assert_array_equal(record.channels, data)
+    cfg = PipelineConfig(cc_method="ccwd", plan=plan)
+    wp = window_peaks(record, cfg)["ccwd"]
+    pairs = [correlate_window(normalize_window(w), cfg, 4e-9) for w in segment(record, plan)]
+    np.testing.assert_array_equal(wp.index, [i for i, pair in enumerate(pairs) if pair is not None])
+    np.testing.assert_array_equal(wp.peaks.lag, [s.peak()[0] for pair in pairs if pair for s in pair])
+    if kind == "non-finite" and hop == 1:
+        assert wp.index[0] == 41
 
 
 # flag values: "=" keeps argparse from reading a leading "-" as an option

@@ -122,7 +122,7 @@ class TestKalman:
 class TestWaveletDenoise:
     def test_zero_threshold_is_identity(self, monkeypatch):
         # force both rules to threshold 0: reconstruction must be the input
-        monkeypatch.setattr(denoise.wavelets, "sure_threshold", lambda d, s: 0.0)
+        monkeypatch.setattr(denoise.wavelets, "level_threshold", lambda d, rule, n: 0.0)
         rng = np.random.default_rng(5)
         x = rng.normal(size=512)
         out = wavelet_denoise(x, get_basis("coif5"), 4, "sure")

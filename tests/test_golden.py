@@ -18,6 +18,7 @@ which columns.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -246,7 +247,9 @@ def describe_change(old: str, new: str) -> str:
     """The rows two versions of a golden table differ in, and the columns:
     named by the table's header line, or numbered when (as in a record CSV)
     the first line after the ``#`` comments is already a sample row.  A
-    markdown row (one starting with ``|``) splits on ``|``, others on commas."""
+    markdown row (one starting with ``|``) splits on ``|``, others on commas.
+    A column whose changed fields are all numbers in both versions also gets
+    its largest relative change, |new - old| / |old|."""
     def split(text):
         lines = text.splitlines()
         rows = [[f.strip() for f in line.strip("|").split("|")] if line.startswith("|") else line.split(",")
@@ -259,6 +262,11 @@ def describe_change(old: str, new: str) -> str:
     columns = sorted({i for a, b in changed for i in range(max(len(a), len(b)))
                       if i >= min(len(a), len(b)) or a[i] != b[i]})
     names = [header[i] if header and i < len(header) else f"column {i + 1}" for i in columns]
+    for n, i in enumerate(columns):
+        pairs = [(a[i], b[i]) for a, b in changed if i < min(len(a), len(b)) and a[i] != b[i]]
+        if pairs and all(_is_number(f) for pair in pairs for f in pair):
+            moves = [abs(float(b) - float(a)) / abs(float(a)) if float(a) else math.inf for a, b in pairs]
+            names[n] += f" (largest relative change {max(moves):.1e})"
     parts = [f"{len(changed)} of {len(new_rows)} rows changed" + (f", in {', '.join(names)}" if names else "")]
     if len(old_rows) != len(new_rows):
         parts.append(f"row count {len(old_rows)} -> {len(new_rows)}")
@@ -271,12 +279,22 @@ def describe_change(old: str, new: str) -> str:
 
 def test_regeneration_names_the_changed_rows_and_columns():
     old = "# cc = ccwd\nwindow_index,peak_coeff,valid\n0,0.5,1\n1,0.25,1\n"
-    assert describe_change(old, old.replace("0.25", "0.2500000000000001")) == "1 of 2 rows changed, in peak_coeff"
+    assert describe_change(old, old.replace("0.25", "0.2500000000000001")) == (
+        "1 of 2 rows changed, in peak_coeff (largest relative change 4.4e-16)")
+    assert describe_change(old, old.replace("0.5,", "0.75,").replace("0.25", "0.2")) == (
+        "2 of 2 rows changed, in peak_coeff (largest relative change 5.0e-01)")
     assert describe_change("# dt=4e-09\n1.0,2.0,3.0\n", "# dt=4e-09\n1.0,2.5,3.0\n4.0,5.0,6.0\n") == (
-        "1 of 2 rows changed, in column 2; row count 1 -> 2")
+        "1 of 2 rows changed, in column 2 (largest relative change 2.5e-01); row count 1 -> 2")
     assert describe_change(old, old.replace("ccwd", "cctd")) == "0 of 2 rows changed; comment lines changed"
     table = "| filter | CCWD cubic x4 | CCWD cubic x8 |\n|---|---|---|\n| bpf | 1.00 | 2.00 |\n| kf | 3.00 | 4.00 |\n"
-    assert describe_change(table, table.replace("4.00", "4.50")) == "1 of 3 rows changed, in CCWD cubic x8"
+    assert describe_change(table, table.replace("4.00", "4.50")) == (
+        "1 of 3 rows changed, in CCWD cubic x8 (largest relative change 1.2e-01)")
+    # a number from or to zero moves infinitely far; a field that is no number has no figure
+    assert describe_change(old, old.replace("0.5,1", "0.0,1")) == (
+        "1 of 2 rows changed, in peak_coeff (largest relative change 1.0e+00)")
+    assert describe_change(old.replace("0.5,1", "0.0,1"), old) == (
+        "1 of 2 rows changed, in peak_coeff (largest relative change inf)")
+    assert describe_change(old, old.replace("0.5,1", ",1")) == "1 of 2 rows changed, in peak_coeff"
 
 
 if __name__ == "__main__":

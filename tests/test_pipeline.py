@@ -116,6 +116,14 @@ def gaps_record(layout="C"):
 GAPS_PLAN = SegmentationPlan(32, 3)  # 63 windows, 28 degenerate
 
 
+def assert_ccwd_peaks_match(got: xcorr.PeakNeighborhoods, ref: xcorr.PeakNeighborhoods) -> None:
+    """The block's ccwd details past each window's head come from the raw
+    samples, the one-window form's from the normalized ones: the
+    coefficients, at most 1 in magnitude, move in their last digits only."""
+    np.testing.assert_allclose(got.coefficient, ref.coefficient, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got.neighborhood, ref.neighborhood, rtol=0, atol=1e-15)
+
+
 class TestWindowChunks:
     @pytest.mark.parametrize("method", xcorr.CC_METHODS)
     @pytest.mark.parametrize("layout", ["C", "F"])
@@ -130,8 +138,23 @@ class TestWindowChunks:
         assert wp.index.dtype == wp.degenerate.dtype == np.int64
         assert len(wp.degenerate) == 28
         ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
-        for field in ("lag", "coefficient", "neighborhood"):
-            np.testing.assert_array_equal(getattr(wp.peaks, field), getattr(ref, field))
+        np.testing.assert_array_equal(wp.peaks.lag, ref.lag)
+        if method == "ccwd":
+            assert_ccwd_peaks_match(wp.peaks, ref)
+        else:
+            np.testing.assert_array_equal(wp.peaks.neighborhood, ref.neighborhood)
+
+    @pytest.mark.parametrize("dt", [6.25e-9, 2.5e-9])
+    def test_ccwd_block_loop_matches_the_one_window_forms_on_one_level(self, dt):
+        # at these sample intervals ccwd correlates level 1 alone, or level 2 alone
+        assert len(xcorr.band_levels(dt)) == 1
+        rec = SampleRecord(gaps_record().channels, dt)
+        cfg = PipelineConfig(cc_method="ccwd", plan=GAPS_PLAN)
+        wp = window_peaks(rec, cfg)["ccwd"]
+        pairs = [correlate_window(normalize_window(w), cfg, dt) for w in segment(rec, GAPS_PLAN)]
+        ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
+        np.testing.assert_array_equal(wp.peaks.lag, ref.lag)
+        assert_ccwd_peaks_match(wp.peaks, ref)
 
     @pytest.mark.parametrize("method", xcorr.CC_METHODS)
     def test_chunk_size_changes_no_map_byte(self, tmp_path, monkeypatch, method):
@@ -149,6 +172,26 @@ class TestWindowChunks:
         for chunk in (1, 7, n, n + 5):
             monkeypatch.setattr(pipeline, "WINDOW_CHUNK", chunk)
             assert maps() == expected, chunk
+
+    # overlapping windows share one span transform per block, and windows a
+    # hop >= W apart one transform of them laid end to end.  Windows of 4 and
+    # 16 samples are shorter than the 21-sample head of level 2; a window of 4
+    # is shorter than level 1's 7 as well, so all its details are head
+    @pytest.mark.parametrize("w, hop", [(32, 1), (32, 3), (64, 32), (32, 32), (32, 45), (4, 1), (16, 1), (16, 3)])
+    def test_ccwd_chunk_size_changes_no_map_byte(self, tmp_path, monkeypatch, w, hop):
+        rec = gaps_record()
+        plan = SegmentationPlan(w, hop)
+        n = plan.count(rec.length)
+        cfg = PipelineConfig(cc_method="ccwd", interp=InterpSpec.parse("cubic:8"), plan=plan, geometry=G)
+        expected = write_map_csv(map_record(rec, cfg), tmp_path / "m.csv").read_bytes()
+        for chunk in (1, 7, n, n + 5):
+            monkeypatch.setattr(pipeline, "WINDOW_CHUNK", chunk)
+            assert write_map_csv(map_record(rec, cfg), tmp_path / "m.csv").read_bytes() == expected, chunk
+        if w <= xcorr._CCWD_HEADS[0]:  # every detail is head: the one-window forms' bytes
+            wp = window_peaks(rec, cfg)["ccwd"]
+            pairs = [correlate_window(normalize_window(win), cfg, DT) for win in segment(rec, plan)]
+            ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
+            np.testing.assert_array_equal(wp.peaks.neighborhood, ref.neighborhood)
 
     def test_chunk_size_changes_no_bench_cell(self, monkeypatch):
         datasets = []

@@ -260,3 +260,28 @@ class TestThresholds:
         cands = np.abs(x)
         best = cands[np.argmin([risk(t) for t in cands])]
         assert t_fast == pytest.approx(sigma * best, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 64])
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    @pytest.mark.parametrize("zeros", ["none", "run", "most", "all"])
+    def test_level_threshold_is_the_public_functions_bit_for_bit(self, n, scale, zeros):
+        # one sort gives the noise scale and the SURE threshold: the median
+        # of an even length is the mean of the middle two, as in np.median
+        d = np.random.default_rng(n).normal(size=n) * scale
+        if zeros == "run":
+            d[n // 4 : n // 2 + 1] = 0.0
+        elif zeros == "most":
+            d[: n // 2 + 1] = 0.0
+        elif zeros == "all":
+            d[:] = 0.0
+        sigma = wavelets.noise_sigma(d)
+        expected = {"universal": wavelets.universal_threshold(sigma, 4 * n), "sure": wavelets.sure_threshold(d, sigma)}
+        for rule in wavelets.THRESHOLD_RULES:
+            got = wavelets.level_threshold(d, rule, 4 * n)
+            assert np.float64(got).tobytes() == np.float64(expected[rule]).tobytes(), rule
+
+    def test_level_threshold_of_a_nan_level_is_nan(self):
+        d = np.array([1.0, np.nan, -2.0, 0.5])
+        assert np.isnan(wavelets.noise_sigma(d))
+        for rule in wavelets.THRESHOLD_RULES:
+            assert np.isnan(wavelets.level_threshold(d, rule, 16))
