@@ -14,6 +14,8 @@ preserve signal length and are deterministic.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from itfmap._core import kalman_local_level
@@ -81,14 +83,24 @@ def bandpass_filter(signal: np.ndarray, band: tuple[float, float], dt: float) ->
 
 
 def _bandpass_sos(band: tuple[float, float], dt: float) -> np.ndarray:
+    """The band-pass's second-order sections, designed once per (band, dt);
+    each caller gets its own writable copy, as `sosfiltfilt` rejects a
+    read-only one."""
     low, high = band
+    return _butter_sos(low, high, dt).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _butter_sos(low: float, high: float, dt: float) -> np.ndarray:
     nyquist = 0.5 / dt
     if not 0 < low < high:
         raise ValueError(f"need 0 < low < high, got ({low}, {high})")
     if high >= nyquist:
         raise ValueError(f"high cut-off {high} at/above Nyquist {nyquist}")
     from scipy.signal import butter
-    return butter(DEFAULT_ORDER, [low, high], btype="bandpass", fs=1.0 / dt, output="sos")
+    sos = butter(DEFAULT_ORDER, [low, high], btype="bandpass", fs=1.0 / dt, output="sos")
+    sos.flags.writeable = False  # shared by every caller
+    return sos
 
 
 def check_input(spec: str | None, dt: float, length: int | None = None) -> None:
@@ -148,6 +160,6 @@ def wavelet_denoise(
     coeffs = wavelets.wavedec(x, basis, levels)
     *parts, lengths = coeffs
     n = len(x)
-    for i in range(1, len(parts)):  # details only; approximation untouched
-        parts[i] = wavelets.soft_threshold(parts[i], wavelets.level_threshold(parts[i], rule, n))
+    for d in parts[1:]:  # details only, thresholded in place; approximation untouched
+        wavelets._soft_threshold_inplace(d, wavelets.level_threshold(d, rule, n))
     return wavelets.waverec(parts + [lengths], basis)

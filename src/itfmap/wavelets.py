@@ -110,11 +110,15 @@ def _analysis_step(x: np.ndarray, basis: WaveletBasis) -> tuple[np.ndarray, np.n
     if n0 % 2:
         x = np.concatenate([x, x[-1:]])
     n, L = len(x), basis.length  # L is even for every orthogonal bank
-    # the even and odd phases of x extended circularly by L samples
-    phases = np.concatenate([v.reshape(-1, 2).T for v in (x, x[np.arange(L) % n])], axis=1)
+    half = n // 2
+    # the even and odd phases of x extended circularly by L samples, one
+    # contiguous row each: every tap then reads its source at unit stride
+    phases = np.empty((2, half + L // 2))
+    phases[:, :half] = x.reshape(-1, 2).T
+    phases[:, half:] = x[np.arange(L) % n].reshape(-1, 2).T
     terms = [(row, f[m], phases[m % 2], m // 2)
              for m in range(L) for row, f in enumerate((basis.rec_lo, basis.rec_hi))]
-    a, d = _tap_sums(terms, (np.empty(n // 2), np.empty(n // 2)))
+    a, d = _tap_sums(terms, (np.empty(half), np.empty(half)))
     return a, d, n0
 
 
@@ -261,33 +265,57 @@ def sure_threshold(detail: np.ndarray, sigma: float) -> float:
     """
     if sigma <= 0:
         return 0.0
-    return _sure_of_sorted(np.sort(np.abs(detail / sigma)), sigma)
+    x = np.abs(detail / sigma)
+    x.sort()
+    return _sure_of_sorted(x, sigma)
 
 
 def _sure_of_sorted(x: np.ndarray, sigma: float) -> float:
-    """`sure_threshold` from the sorted |detail / sigma|, sigma > 0."""
+    """`sure_threshold` from the sorted |detail / sigma|, sigma > 0, which it
+    overwrites with their squares.  The risk of thresholding at the i-th
+    value is (n - 2i + cumsum(x**2)[i] + (n - i) x[i]**2) / n, i = 1 .. n,
+    summed in that order on exact float ramps."""
     n = len(x)
-    sx2 = x**2
-    cum = np.cumsum(sx2)
-    i = np.arange(1, n + 1)
-    risk = (n - 2 * i + cum + (n - i) * sx2) / n
-    return sigma * float(np.sqrt(sx2[np.argmin(risk)]))
+    x *= x
+    risk = np.arange(n - 2, -n - 1, -2, dtype=np.float64)  # n - 2i
+    risk += np.cumsum(x)
+    ramp = np.arange(n - 1, -1, -1, dtype=np.float64)  # n - i
+    ramp *= x
+    risk += ramp
+    risk /= n
+    return sigma * float(np.sqrt(x[np.argmin(risk)]))
 
 
 def level_threshold(detail: np.ndarray, rule: str, n: int) -> float:
     """The threshold of one detail level under `rule`: `universal_threshold`
     or `sure_threshold` at the `noise_sigma` of `detail`, bit for bit, from
-    one sort of |detail| (`n` is the full signal length)."""
-    a = np.sort(np.abs(detail))
+    one sorted copy of |detail|, which the SURE risk then reuses (`n` is the
+    full signal length)."""
+    a = np.abs(detail)
+    a.sort()
     k = len(a) // 2
     # np.median: the middle value, or the mean of the middle two; NaN if any
     median = np.nan if np.isnan(a[-1]) else a[k] if len(a) % 2 else (a[k - 1] + a[k]) / 2.0
     sigma = float(median) / 0.6745
     if rule == "universal":
         return universal_threshold(sigma, n)
+    if sigma <= 0:
+        return 0.0
     # dividing by sigma > 0 keeps the order: sort(|d|) / sigma is sort(|d / sigma|)
-    return 0.0 if sigma <= 0 else _sure_of_sorted(a / sigma, sigma)
+    a /= sigma
+    return _sure_of_sorted(a, sigma)
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def _soft_threshold_inplace(x: np.ndarray, t: float) -> np.ndarray:
+    """`soft_threshold(x, t)` of a float64 array, written over `x`: the same
+    operations with their operands in the same order, so every byte, NaN
+    bits included, matches."""
+    sign = np.sign(x)
+    np.abs(x, out=x)
+    x -= t
+    np.maximum(x, 0.0, out=x)
+    return np.multiply(sign, x, out=x)

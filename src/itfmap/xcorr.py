@@ -178,13 +178,21 @@ def _wavelet_spectrum(details: list[np.ndarray], selected: list[int], m: int) ->
     their weights (see `cc_wavelet`), leaving out a level where either
     segment has no energy.  No step calls BLAS, whose summation order depends
     on the CPU."""
-    cross, wsum = 0.0, 0.0
+    cross, wsum = None, 0.0
     for j in selected:
         d = details[j - 1]
         energy = np.einsum("...w,...w->...", d, d)  # (1 + P, K)
         used = (energy[0] != 0.0) & (energy[1:] != 0.0)
         spectra = np.fft.rfft(d, m)
-        cross = cross + np.where(used[..., None], np.conj(spectra[0]) * spectra[1:], 0.0)
+        # conj(first) * others, in place, operands in that order (as in ccfd)
+        term = np.multiply(np.conj(spectra[0], out=spectra[0]), spectra[1:], out=spectra[1:])
+        if not used.all():
+            term = np.where(used[..., None], term, 0.0)
+        if cross is None:
+            cross = term
+            cross += 0.0  # as 0.0 + term: a -0.0 part becomes +0.0
+        else:
+            cross += term
         wsum = wsum + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
     if not np.all(wsum):
         raise DegenerateWindowError("no detail energy in the selected levels")
@@ -219,10 +227,11 @@ def peak_neighborhoods(coefficients: np.ndarray) -> PeakNeighborhoods:
     """Integer peak (ties -> smallest |lag|) and neighborhood of every row of
     `coefficients`, an (n, 2L+1) array of series over lags -L .. +L."""
     c = np.atleast_2d(coefficients)
-    max_lag, n, rows = (c.shape[1] - 1) // 2, INTERP_NEIGHBORHOOD, np.arange(len(c))
+    max_lag, n = (c.shape[1] - 1) // 2, INTERP_NEIGHBORHOOD
     i = _argmax_nearest_zero(c, np.arange(-max_lag, max_lag + 1))
-    nan = np.full((len(c), n), np.nan)
-    around = np.hstack([nan, c, nan])[rows[:, None], i[:, None] + np.arange(2 * n + 1)]
+    cols = i[:, None] + np.arange(-n, n + 1)
+    around = np.take_along_axis(c, np.clip(cols, 0, c.shape[1] - 1), axis=1)
+    around[(cols < 0) | (cols >= c.shape[1])] = np.nan
     return PeakNeighborhoods(max_lag, i - max_lag, around)
 
 
@@ -367,11 +376,19 @@ def correlate_block(
         if not denom.all():
             raise DegenerateWindowError("zero-variance segment has no correlation")
         if method == "cctd":
-            b = block[0]
-            out = np.array([[correlate_full(b[k], y[k]) for y in block[1:]] for k in range(len(b))])
-            return out / denom.T[:, :, None]
+            out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
+            for k, b in enumerate(block[0]):
+                for p, y in enumerate(block[1:]):
+                    out[k, p] = correlate_full(b, y[k])
+            out /= denom.T[:, :, None]
+            return out
         spectra = np.fft.rfft(block, m)
-        cross = np.conj(spectra[0]) * spectra[1:]
-    c = np.fft.irfft(cross, m)
-    coeff = np.concatenate([c[..., m - (n - 1):], c[..., :n]], axis=-1) / denom[..., None]
-    return coeff.transpose(1, 0, 2)
+        cross = np.multiply(np.conj(spectra[0], out=spectra[0]), spectra[1:], out=spectra[1:])
+    # the two halves of the circular correlation, negative lags first, each
+    # divided straight into the (K, P, 2W - 1) result
+    c = np.fft.irfft(cross, m).transpose(1, 0, 2)
+    scale = denom.T[..., None]
+    out = np.empty(c.shape[:2] + (2 * n - 1,))
+    np.divide(c[..., m - (n - 1):], scale, out=out[..., : n - 1])
+    np.divide(c[..., :n], scale, out=out[..., n - 1:])
+    return out

@@ -69,6 +69,18 @@ class TestBandpass:
     def test_length_preserved(self):
         assert len(bandpass_filter(tone(60e6, 999), DEFAULT_BAND, DT)) == 999
 
+    def test_design_is_made_once_and_handed_out_as_copies(self, monkeypatch):
+        import scipy.signal
+
+        calls = []
+        butter = scipy.signal.butter
+        monkeypatch.setattr(scipy.signal, "butter", lambda *a, **k: calls.append(a) or butter(*a, **k))
+        denoise._butter_sos.cache_clear()
+        first, second = denoise._bandpass_sos(DEFAULT_BAND, 2e-9), denoise._bandpass_sos(DEFAULT_BAND, 2e-9)
+        assert len(calls) == 1
+        assert first is not second and first.flags.writeable and first.tobytes() == second.tobytes()
+        assert first.tobytes() == butter(4, list(DEFAULT_BAND), btype="bandpass", fs=1.0 / 2e-9, output="sos").tobytes()
+
 
 class TestKalman:
     def test_constant_signal_exact(self):

@@ -186,6 +186,105 @@ class TestBlockedKernels:
         assert out.tobytes() == denoise.apply_filter(x, spec, 4e-9).tobytes()
 
 
+def fortran_phase_analysis_step(x, basis):
+    """The analysis step with its even/odd phases concatenated from
+    transposed views: an F-ordered array, each phase read at a 16-byte
+    stride."""
+    n0 = len(x)
+    if n0 % 2:
+        x = np.concatenate([x, x[-1:]])
+    n, L = len(x), basis.length
+    phases = np.concatenate([v.reshape(-1, 2).T for v in (x, x[np.arange(L) % n])], axis=1)
+    terms = [(row, f[m], phases[m % 2], m // 2)
+             for m in range(L) for row, f in enumerate((basis.rec_lo, basis.rec_hi))]
+    a, d = wavelets._tap_sums(terms, (np.empty(n // 2), np.empty(n // 2)))
+    return a, d, n0
+
+
+def out_of_place_threshold(d, rule, n):
+    """`level_threshold` on fresh temporaries: np.median's noise scale from a
+    sorted copy, and the SURE risk on integer ramps."""
+    a = np.sort(np.abs(d))
+    k = len(a) // 2
+    median = np.nan if np.isnan(a[-1]) else a[k] if len(a) % 2 else (a[k - 1] + a[k]) / 2.0
+    sigma = float(median) / 0.6745
+    if rule == "universal":
+        return wavelets.universal_threshold(sigma, n)
+    if sigma <= 0:
+        return 0.0
+    x = a / sigma
+    sx2 = x**2
+    i = np.arange(1, len(x) + 1)
+    risk = (len(x) - 2 * i + np.cumsum(sx2) + (len(x) - i) * sx2) / len(x)
+    return sigma * float(np.sqrt(sx2[np.argmin(risk)]))
+
+
+def reference_denoise(x, basis, levels, rule):
+    """`wavelet_denoise` by strided phases and out-of-place thresholds."""
+    details, lengths, a = [], [], x
+    for _ in range(levels):
+        a, d, n0 = fortran_phase_analysis_step(a, basis)
+        t = out_of_place_threshold(d, rule, len(x))
+        details.append(np.sign(d) * np.maximum(np.abs(d) - t, 0.0))
+        lengths.append(n0)
+    return wavelets.waverec([a, *details[::-1], np.array(lengths)], basis)
+
+
+def denoise_inputs():
+    """Odd and even lengths; signed zeros; a zero run over most of the
+    signal (zero noise scales); 1e+-300 scales; a NaN level."""
+    for n in (64, 65, 1000, 1001):
+        x = np.random.default_rng(n).normal(size=n)
+        run = x.copy()
+        run[n // 8 :] = 0.0
+        nan = x.copy()
+        nan[n // 3] = np.nan
+        yield from (x, signed_zero_signal(n, n), run, x * 1e300, x * 1e-300, nan)
+
+
+class TestInPlaceDenoising:
+    """The contiguous phases and the in-place thresholds change no byte."""
+
+    def test_every_tap_reads_a_contiguous_source(self, monkeypatch):
+        """In the analysis and the synthesis steps alike, each term's source
+        is a C-contiguous row read at an 8-byte stride."""
+        calls = []
+        tap_sums = wavelets._tap_sums
+
+        def guarded(terms, out):
+            calls.append({(src.strides, src.flags.c_contiguous) for _, _, src, _ in terms})
+            return tap_sums(terms, out)
+
+        monkeypatch.setattr(wavelets, "_tap_sums", guarded)
+        for name in ALL_BASES:
+            basis = get_basis(name)
+            for n in (16, 17, 1025):
+                wavelets.waverec(wavelets.wavedec(np.random.default_rng(n).normal(size=n), basis, 4), basis)
+        assert len(calls) == len(ALL_BASES) * 3 * 8  # 4 analysis and 4 synthesis steps a signal
+        assert set().union(*calls) == {((8,), True)}
+
+    @pytest.mark.parametrize("spec", [f"wt-{b}-{r}" for b in ALL_BASES for r in wavelets.THRESHOLD_RULES])
+    def test_denoise_equals_the_out_of_place_path(self, spec):
+        basis, rule = denoise._wavelet(spec)
+        for x in denoise_inputs():
+            with np.errstate(all="ignore"):
+                got = denoise.wavelet_denoise(x, basis, denoise.DEFAULT_LEVELS, rule)
+                expected = reference_denoise(x, basis, denoise.DEFAULT_LEVELS, rule)
+            assert got.tobytes() == expected.tobytes(), (spec, len(x))
+
+    def test_inputs_are_left_unchanged(self):
+        basis = get_basis("sym4")
+        for x in denoise_inputs():
+            before = x.tobytes()
+            with np.errstate(all="ignore"):
+                for rule in wavelets.THRESHOLD_RULES:
+                    wavelets.level_threshold(x, rule, len(x))
+                    denoise.wavelet_denoise(x, basis, denoise.DEFAULT_LEVELS, rule)
+                wavelets.sure_threshold(x, 0.5)
+                wavelets.soft_threshold(x, 0.5)
+            assert x.tobytes() == before
+
+
 class TestUndecimated:
     def test_level_count_and_lengths(self):
         x = np.zeros(128)
@@ -279,6 +378,7 @@ class TestThresholds:
         for rule in wavelets.THRESHOLD_RULES:
             got = wavelets.level_threshold(d, rule, 4 * n)
             assert np.float64(got).tobytes() == np.float64(expected[rule]).tobytes(), rule
+            assert np.float64(got).tobytes() == np.float64(out_of_place_threshold(d, rule, 4 * n)).tobytes(), rule
 
     def test_level_threshold_of_a_nan_level_is_nan(self):
         d = np.array([1.0, np.nan, -2.0, 0.5])

@@ -166,7 +166,7 @@ class TestCorrelateBlock:
     def test_rows_equal_one_pair_calls(self, method):
         block = np.random.default_rng(17).normal(size=(3, 9, 37))
         out = xcorr.correlate_block(block, method)
-        assert out.shape == (9, 2, 73)
+        assert out.shape == (9, 2, 73) and out.flags.c_contiguous
         for k in range(9):
             for p in (1, 2):
                 one = xcorr.correlate(block[0, k], block[p, k], method)
@@ -251,6 +251,27 @@ class TestCrossWaveletBlock:
         window = [[d[:, k : k + 1] for d in levels] for k in range(2)]
         np.testing.assert_allclose(got[0, 1], ccwd_reference(block[:, :1], [1], window[0])[0, 1], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got[1], ccwd_reference(block[:, 1:], [2], window[1])[0], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("selected", [[1], [1, 2]])
+    def test_spectrum_equals_the_out_of_place_sum(self, selected):
+        """Byte for byte, -0.0 parts included: the first level is added to
+        +0.0, which turns its -0.0 parts (the DC bins' imaginary parts among
+        them) into +0.0.  Segment (2, 1) has no level-2 energy."""
+        rng = np.random.default_rng(21)
+        details = [rng.normal(size=(3, 4, 16)) for _ in range(2)]
+        details[1][2, 1] = 0.0
+        cross, wsum = 0.0, 0.0
+        for j in selected:
+            d = details[j - 1]
+            energy = np.einsum("...w,...w->...", d, d)
+            used = (energy[0] != 0.0) & (energy[1:] != 0.0)
+            spectra = np.fft.rfft(d, 32)
+            cross = cross + np.where(used[..., None], np.conj(spectra[0]) * spectra[1:], 0.0)
+            wsum = wsum + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
+        got = xcorr._wavelet_spectrum(details, selected, 32)
+        assert (got[0].tobytes(), got[1].tobytes()) == (cross.tobytes(), wsum.tobytes())
+        parts = (np.conj(np.fft.rfft(details[0][0], 32)) * np.fft.rfft(details[0][1:], 32)).view(np.float64)
+        assert (np.signbit(parts) & (parts == 0.0)).any()  # the case the +0.0 is there for
 
     def test_a_window_without_energy_in_any_selected_level_is_degenerate(self):
         block = np.random.default_rng(19).normal(size=(3, 4, 32))
