@@ -4,7 +4,12 @@ Three routes to the same lag axis: direct time-domain (`cc_time`), conjugate
 spectral product (`cc_freq`) and undecimated-wavelet-domain (`cc_wavelet`).
 `correlate_block` runs them on a block of windows at once; the `cc_*`
 functions and `correlate` are its one-pair forms.  `wavelet_details` gives
-it the ccwd details of a record's block from one transform of its samples.
+it the ccwd details of a block from one transform of its samples.  One
+energy rule divides every pair: the sum, over the parts it is taken on (the
+window for cctd and ccfd, the selected detail levels for ccwd), of
+sqrt(E(x) E(y)), E a segment's energy in the part, leaving out a part where
+either has none.  ccfd (Knapp & Carter's unweighted generalized correlation,
+1976) and ccwd sum the parts' cross spectra.  Only cctd calls BLAS.
 `peak_neighborhoods` and `refine_peaks` find and interpolate the peaks of
 many series at once (`refine_peak` is the one-series form).
 
@@ -28,12 +33,12 @@ from itfmap.signals import SIGNAL_BAND
 CC_METHODS = ("cctd", "ccfd", "ccwd")
 DEFAULT_CCWD_LEVELS = 2
 _CCWD_FILTERS = wavelets.level_filters(wavelets.get_basis("sym4"), DEFAULT_CCWD_LEVELS)  # built once
+# level 1 at half gain: every level is halved, exactly, which leaves the
+# coefficients as they are, and no sum in `wavelet_details` overflows
+_CCWD_FILTERS[0] /= 2.0
 # the first samples of a window whose detail at each level reads the zero
 # padding before it: the filter spans summed down the pyramid (sym4: 7, 21)
 _CCWD_HEADS = np.cumsum([f.shape[1] - 1 for f in _CCWD_FILTERS]).tolist()
-# level 1 at half gain: every level comes out halved, exactly, and no sum of
-# `wavelet_details`' transform overflows, whatever its finite samples
-_CCWD_HALF_FILTERS = [_CCWD_FILTERS[0] / 2.0, *_CCWD_FILTERS[1:]]
 INTERP_NEIGHBORHOOD = 8          # integer lags kept on each side of the peak
 REFINE_BATCH_ROWS = 256          # rows resampled together: bounds the dense-grid temporaries
 
@@ -90,14 +95,17 @@ class InterpSpec:
 
 
 def _validated(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The one-window block (see `correlate_block`) pairing x with y."""
+    """The one-window block (see `correlate_block`) pairing x with y, each
+    over the power of two above its peak: an exact scaling, so no
+    coefficient bit moves, which keeps the energies of raw samples far from
+    1 from overflowing or underflowing."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("expected two equal-length 1-D segments")
     if len(x) < 2:
         raise ValueError("segments must have at least 2 samples")
-    return np.stack([x, y])[:, None]
+    return np.stack([np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y)])[:, None]
 
 
 def cc_time(x: np.ndarray, y: np.ndarray) -> CorrelationSeries:
@@ -148,9 +156,9 @@ def wavelet_details(
     detail is the source's, divided by the peak; the head, which reads the
     zero padding before the window, is the transform of the normalized
     window's first samples, placed in the same row behind zeros.  Every
-    level is halved (see `_CCWD_HALF_FILTERS`), which leaves the
-    coefficients as they are.  A non-finite source sample reaches only the
-    windows that hold it, which are degenerate.
+    level is halved (see `_CCWD_FILTERS`), which leaves the coefficients as
+    they are.  A non-finite source sample reaches only the windows that hold
+    it, which are degenerate.
     """
     levels, (c, k, w) = max(band_levels(dt)), windows.shape
     reach, n = _CCWD_HEADS[levels - 1], source.size
@@ -161,7 +169,7 @@ def wavelet_details(
     row[:n].reshape(source.shape)[...] = source
     row[n:].reshape(c, k, -1)[..., reach:] = windows[..., :head]
     with np.errstate(invalid="ignore"):  # inf - inf next to a non-finite sample
-        transformed = wavelets.modwt_levels(row, _CCWD_HALF_FILTERS[:levels], approximation=False)
+        transformed = wavelets.modwt_levels(row, _CCWD_FILTERS[:levels], approximation=False)
     out = []
     for d, h in zip(transformed, _CCWD_HEADS):
         level = np.empty_like(windows)
@@ -172,19 +180,19 @@ def wavelet_details(
     return out
 
 
-def _wavelet_spectrum(details: list[np.ndarray], selected: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ccwd cross spectrum and denominator of `correlate_block`: sums over
-    the `selected` levels of `details` of their `m`-point cross spectra and
-    their weights (see `cc_wavelet`), leaving out a level where either
-    segment has no energy.  No step calls BLAS, whose summation order depends
-    on the CPU."""
-    cross, wsum = None, 0.0
-    for j in selected:
-        d = details[j - 1]
+def _energy_and_cross(parts: list[np.ndarray], m: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The energy rule's denominator over `parts`, each a (1 + P, K, W)
+    array, and for an `m` their summed `m`-point cross spectra conj(first) *
+    other, leaving out a part where either segment has no energy."""
+    cross, denom = None, 0.0
+    for d in parts:
         energy = np.einsum("...w,...w->...", d, d)  # (1 + P, K)
         used = (energy[0] != 0.0) & (energy[1:] != 0.0)
+        denom = denom + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
+        if m is None:
+            continue
         spectra = np.fft.rfft(d, m)
-        # conj(first) * others, in place, operands in that order (as in ccfd)
+        # conj(first) * others, in place, operands in that order
         term = np.multiply(np.conj(spectra[0], out=spectra[0]), spectra[1:], out=spectra[1:])
         if not used.all():
             term = np.where(used[..., None], term, 0.0)
@@ -193,10 +201,9 @@ def _wavelet_spectrum(details: list[np.ndarray], selected: list[int], m: int) ->
             cross += 0.0  # as 0.0 + term: a -0.0 part becomes +0.0
         else:
             cross += term
-        wsum = wsum + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
-    if not np.all(wsum):
-        raise DegenerateWindowError("no detail energy in the selected levels")
-    return cross, wsum
+    if not np.all(denom):
+        raise DegenerateWindowError("a segment has no energy (for ccwd: in the selected detail levels)")
+    return denom, cross
 
 
 def _argmax_nearest_zero(curves: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -348,46 +355,36 @@ def correlate_block(
     """Correlation coefficients of each window's first segment with each of
     its others, by `method`; ``ccwd`` runs on sym4 at `DEFAULT_CCWD_LEVELS`
     levels, on `details` (as `wavelet_details` gives them) when given and
-    otherwise on the transform of `block`.
+    otherwise on `wavelet_details` of `block`.
 
     `block` is a (1 + P, K, W) float64 array of K windows; the result is a
-    (K, P, 2W - 1) array over lags -(W-1) .. W-1.  A segment's norm, and
-    its spectrum (ccfd) or detail levels (ccwd), are computed once however
+    (K, P, 2W - 1) array over lags -(W-1) .. W-1, divided by the module's
+    energy rule.  A segment's energies and spectra are computed once however
     many pairs it is in.
     """
     if method not in CC_METHODS:
         raise ValueError(f"unknown correlation method {method!r}")
-    n = block.shape[-1]
+    n, parts = block.shape[-1], [block]
     m = 1 << int(np.ceil(np.log2(2 * n - 1)))  # holds every lag
     if method == "ccwd":
         selected = band_levels(dt)
         if n < 2**DEFAULT_CCWD_LEVELS:
             raise ValueError(f"signal of {n} samples too short for {DEFAULT_CCWD_LEVELS} levels")
-        if details is None:  # deeper levels and the last approximation go unused
-            details = wavelets.modwt_levels(block, _CCWD_FILTERS[: max(selected)], approximation=False)
-        cross, denom = _wavelet_spectrum(details, selected, m)
-    else:
-        # vecdot calls BLAS, so a norm may round differently on another CPU
-        # (ccwd avoids it); on rows made contiguous it matches `np.linalg.norm`,
-        # which ravels to a contiguous copy before its dot product, to the bit
-        rows = np.ascontiguousarray(block)
-        norms = np.sqrt(np.vecdot(rows, rows))  # one per segment
-        denom = norms[0] * norms[1:]  # (P, K): ||B|| ||other|| of every pair
-        if not denom.all():
-            raise DegenerateWindowError("zero-variance segment has no correlation")
-        if method == "cctd":
-            out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
-            for k, b in enumerate(block[0]):
-                for p, y in enumerate(block[1:]):
-                    out[k, p] = correlate_full(b, y[k])
-            out /= denom.T[:, :, None]
-            return out
-        spectra = np.fft.rfft(block, m)
-        cross = np.multiply(np.conj(spectra[0], out=spectra[0]), spectra[1:], out=spectra[1:])
+        if details is None:  # each window its own source
+            details = wavelet_details(block, n, block, np.ones(block.shape[:2]), dt)
+        parts = [details[j - 1] for j in selected]
+    denom, cross = _energy_and_cross(parts, None if method == "cctd" else m)
+    scale = denom.T[..., None]
+    if method == "cctd":
+        out = np.empty((block.shape[1], len(block) - 1, 2 * n - 1))
+        for k, b in enumerate(block[0]):
+            for p, y in enumerate(block[1:]):
+                out[k, p] = correlate_full(b, y[k])
+        out /= scale
+        return out
     # the two halves of the circular correlation, negative lags first, each
     # divided straight into the (K, P, 2W - 1) result
     c = np.fft.irfft(cross, m).transpose(1, 0, 2)
-    scale = denom.T[..., None]
     out = np.empty(c.shape[:2] + (2 * n - 1,))
     np.divide(c[..., m - (n - 1):], scale, out=out[..., : n - 1])
     np.divide(c[..., :n], scale, out=out[..., n - 1:])

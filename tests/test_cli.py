@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,23 @@ class TestMapCommand:
                        "--window", "64", "--hop", "8", "--interp", "cubic:8", "--cc", cc) == EXIT_OK
             maps.append([line for line in out.read_text().splitlines() if not line.startswith("# input")])
         assert maps[0] == maps[1]
+
+    def test_kf_maps_a_record_scaled_near_the_overflow_as_the_record(self, tmp_path):
+        # kf's variance estimate squares first differences, which overflow
+        # at 2**660 times the record unless the channel is scaled first
+        rec = load_record(self.make_record(tmp_path, windows=72, window=64, hop=4))
+        maps = []
+        for scale in (1.0, 2.0**660):
+            scaled = save_record(SampleRecord(rec.channels * scale, rec.sample_interval), tmp_path / f"{scale}.csv")
+            assert np.array_equal(load_record(scaled).channels, rec.channels * scale)
+            out = tmp_path / f"{scale}.map.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("map", "--input", str(scaled), "--output", str(out), "--window", "64", "--hop", "4",
+                           "--interp", "cubic:8", "--filter", "kf") == EXIT_OK
+            maps.append([line for line in out.read_text().splitlines() if not line.startswith("# input")])
+        assert maps[0] == maps[1]
+        assert pipeline.read_map_csv(tmp_path / "1.0.map.csv")[4].any()
 
     def test_map_produces_csv(self, tmp_path):
         rec = self.make_record(tmp_path)

@@ -130,6 +130,19 @@ class TestKalman:
         assert len(a) == 333
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["short", "noise", "constant"])
+    def test_kf_output_scales_exactly_with_the_channel(self, kind):
+        """A power-of-two scaling of the channel scales its kf output to the
+        bit, up to 2**660 where the unscaled variance estimate would
+        overflow.  Short and constant channels take the constants and the
+        1e-30 floor, which read the same at every scale."""
+        x = {"short": np.array([0.5, -1.25]), "constant": np.full(50, 0.75),
+             "noise": np.random.default_rng(10).normal(size=1000)}[kind]
+        want = denoise.apply_filter(x, "kf", DT)
+        for k in (-20, 7, 660):
+            got = denoise.apply_filter(np.ldexp(x, k), "kf", DT)
+            assert got.tobytes() == np.ldexp(want, k).tobytes(), k
+
 
 class TestWaveletDenoise:
     def test_zero_threshold_is_identity(self, monkeypatch):

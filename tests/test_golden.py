@@ -3,9 +3,10 @@ correlation method and interpolation spec and its ccwd map under four wavelet
 filters, a copy of the record with a NaN sample and a constant stretch mapped
 at hop 3 by every correlation method, and a seeded `bench` report, as CSV and
 as markdown table, stay byte-identical to the files committed under
-``tests/golden/``.  The ccwd maps stay so under OpenBLAS kernels forced to
-other CPUs' (``OPENBLAS_CORETYPE``) as well, and every output stays so with
-NumPy's AVX-512 dispatch targets switched off (``NPY_DISABLE_CPU_FEATURES``).
+``tests/golden/``.  The ccfd and ccwd maps stay so under OpenBLAS kernels
+forced to other CPUs' (``OPENBLAS_CORETYPE``) as well, and every output stays
+so with NumPy's AVX-512 dispatch targets switched off
+(``NPY_DISABLE_CPU_FEATURES``).
 
 Regenerate the files only when an output is meant to change:
 
@@ -130,12 +131,12 @@ def test_library_recipe_writes_the_golden_record(tmp_path):
 
 
 # OpenBLAS picks its dot-product kernels per CPU, and OPENBLAS_CORETYPE forces
-# another CPU's.  ccwd makes no BLAS call, so its maps must not move; cctd and
-# ccfd still take their norms (and cctd its correlation) from BLAS, and their
-# maps do move in the last digits of peak_coeff: these are left out.  The
-# periodic DWT of the wt-* filters makes no BLAS call either.
+# another CPU's.  ccfd and ccwd make no BLAS call, so their maps must not move;
+# cctd still takes its correlation from BLAS (`np.correlate`), and its maps do
+# move in the last digits of peak_coeff: these are left out.  The periodic DWT
+# of the wt-* filters makes no BLAS call either.
 FOREIGN_CORES = ("Haswell", "Prescott")
-CROSS_CORE_MAPS = [name for name, _ in map_runs() if "-ccwd" in name]
+CROSS_CORE_MAPS = [name for name, _ in map_runs() if "-cctd" not in name]
 NOT_YET_CROSS_CORE = [name for name, _ in map_runs() if name not in CROSS_CORE_MAPS]
 CHILD = """
 import json, sys
@@ -194,14 +195,15 @@ def foreign_maps(tmp_path_factory) -> dict:
     return out
 
 
-def test_cross_core_set_is_the_ccwd_maps():
-    assert len(CROSS_CORE_MAPS) == 10 and len(NOT_YET_CROSS_CORE) == 12
-    assert all("-cctd" in n or "-ccfd" in n for n in NOT_YET_CROSS_CORE)
+def test_cross_core_set_is_the_ccfd_and_ccwd_maps():
+    assert len(CROSS_CORE_MAPS) == 16 and len(NOT_YET_CROSS_CORE) == 6
+    assert all("-ccfd" in n or "-ccwd" in n for n in CROSS_CORE_MAPS)
+    assert all("-cctd" in n for n in NOT_YET_CROSS_CORE)
 
 
 @pytest.mark.parametrize("core", FOREIGN_CORES)
 @pytest.mark.parametrize("name", CROSS_CORE_MAPS)
-def test_ccwd_map_matches_golden_on_foreign_blas_cores(foreign_maps, core, name):
+def test_map_matches_golden_on_foreign_blas_cores(foreign_maps, core, name):
     assert (foreign_maps[core] / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} under {core}"
 
 

@@ -172,6 +172,33 @@ class TestCorrelateBlock:
                 one = xcorr.correlate(block[0, k], block[p, k], method)
                 np.testing.assert_array_equal(out[k, p - 1], one.coefficients)
 
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    def test_one_pair_keeps_its_bytes_under_power_of_two_scaling(self, method):
+        # the energy rule multiplies two segments' energies, which would
+        # overflow at 2**300 and underflow at 2**-300 unscaled
+        x, y = np.random.default_rng(23).normal(size=(2, 64))
+        want = xcorr.correlate(x, y, method).coefficients.tobytes()
+        for k in (-300, -20, 20, 300):
+            assert xcorr.correlate(np.ldexp(x, k), y, method).coefficients.tobytes() == want, k
+            assert xcorr.correlate(np.ldexp(x, k), np.ldexp(y, k), method).coefficients.tobytes() == want, k
+
+    @pytest.mark.parametrize("method", ["ccfd", "ccwd"])
+    def test_no_step_calls_a_blas_routine(self, monkeypatch, method):
+        """The CPU-dependent summation order of BLAS is what moves a map
+        under another CPU's OpenBLAS kernels; this holds wherever the
+        foreign-core golden test cannot force one."""
+        block = np.random.default_rng(22).normal(size=(3, 5, 64))
+        want = xcorr.correlate_block(block, method)
+
+        def blas(*args, **kwargs):
+            raise AssertionError("a BLAS routine was called")
+
+        for name in ("vecdot", "dot", "matmul", "inner", "correlate"):
+            monkeypatch.setattr(np, name, blas)
+        assert xcorr.correlate_block(block, method).tobytes() == want.tobytes()
+        with pytest.raises(AssertionError, match="BLAS"):  # the patch does catch cctd's np.correlate
+            xcorr.correlate_block(block, "cctd")
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown correlation method"):
             xcorr.correlate_block(np.ones((3, 1, 8)), "ccxx")
@@ -212,7 +239,7 @@ def ccwd_reference(block, selected, levels=None):
                     acc += weight * (np.correlate(dy, dx, "full") / np.sqrt(ex * ey))
                     wsum += weight
             if wsum == 0.0:
-                raise DegenerateWindowError("no detail energy in the selected levels")
+                raise DegenerateWindowError("a segment has no energy in the selected detail levels")
             out[k, p - 1] = acc / wsum
     return out
 
@@ -232,7 +259,7 @@ class TestCrossWaveletBlock:
             xcorr.correlate_block(block, "ccwd", dt), ccwd_reference(block, selected), rtol=1e-12, atol=1e-15
         )
 
-    def test_a_level_without_energy_is_left_out(self, monkeypatch):
+    def test_a_level_without_energy_is_left_out(self):
         # the details are given, as small integers times powers of two, so
         # every energy is exact in any summation order.  Window 0's D has no
         # level-2 detail, so its BD pair uses level 1 alone.  Window 1's B
@@ -244,42 +271,81 @@ class TestCrossWaveletBlock:
         levels[0][0, 1] *= 2.0**-540
         levels[1][0, 1] *= 2.0**-520
         assert np.einsum("w,w->", levels[0][0, 1], levels[0][0, 1]) == 0.0 and levels[0][0, 1].any()
-        monkeypatch.setattr(wavelets, "modwt_levels", lambda block, filters, approximation: levels)
         block = np.empty((3, 2, 32))
-        got = xcorr.correlate_block(block, "ccwd", DT)
+        got = xcorr.correlate_block(block, "ccwd", DT, details=levels)
         np.testing.assert_allclose(got, ccwd_reference(block, [1, 2], levels), rtol=1e-12, atol=1e-15)
         window = [[d[:, k : k + 1] for d in levels] for k in range(2)]
         np.testing.assert_allclose(got[0, 1], ccwd_reference(block[:, :1], [1], window[0])[0, 1], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(got[1], ccwd_reference(block[:, 1:], [2], window[1])[0], rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("selected", [[1], [1, 2]])
+    @pytest.mark.parametrize("selected", [[1], [1, 2], None])
     def test_spectrum_equals_the_out_of_place_sum(self, selected):
-        """Byte for byte, -0.0 parts included: the first level is added to
+        """Byte for byte, -0.0 parts included: the first part is added to
         +0.0, which turns its -0.0 parts (the DC bins' imaginary parts among
-        them) into +0.0.  Segment (2, 1) has no level-2 energy."""
+        them) into +0.0.  The parts are detail levels (ccwd), of which
+        segment (2, 1) has no level-2 energy, or one block (ccfd: None)."""
         rng = np.random.default_rng(21)
         details = [rng.normal(size=(3, 4, 16)) for _ in range(2)]
         details[1][2, 1] = 0.0
-        cross, wsum = 0.0, 0.0
-        for j in selected:
-            d = details[j - 1]
+        parts = [rng.normal(size=(3, 4, 16))] if selected is None else [details[j - 1] for j in selected]
+        cross, denom = 0.0, 0.0
+        for d in parts:
             energy = np.einsum("...w,...w->...", d, d)
             used = (energy[0] != 0.0) & (energy[1:] != 0.0)
             spectra = np.fft.rfft(d, 32)
             cross = cross + np.where(used[..., None], np.conj(spectra[0]) * spectra[1:], 0.0)
-            wsum = wsum + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
-        got = xcorr._wavelet_spectrum(details, selected, 32)
-        assert (got[0].tobytes(), got[1].tobytes()) == (cross.tobytes(), wsum.tobytes())
-        parts = (np.conj(np.fft.rfft(details[0][0], 32)) * np.fft.rfft(details[0][1:], 32)).view(np.float64)
-        assert (np.signbit(parts) & (parts == 0.0)).any()  # the case the +0.0 is there for
+            denom = denom + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
+        first = (np.conj(np.fft.rfft(parts[0][0], 32)) * np.fft.rfft(parts[0][1:], 32)).view(np.float64)
+        got = xcorr._energy_and_cross(parts, 32)
+        assert (got[0].tobytes(), got[1].tobytes()) == (denom.tobytes(), cross.tobytes())
+        assert (np.signbit(first) & (first == 0.0)).any()  # the case the +0.0 is there for
+        assert xcorr._energy_and_cross(parts, None)[1] is None  # cctd: the denominator alone
 
     def test_a_window_without_energy_in_any_selected_level_is_degenerate(self):
         block = np.random.default_rng(19).normal(size=(3, 4, 32))
         block[1, 2] = 0.0
-        with pytest.raises(DegenerateWindowError, match="no detail energy"):
+        with pytest.raises(DegenerateWindowError, match="has no energy"):
             ccwd_reference(block, [1, 2])
-        with pytest.raises(DegenerateWindowError, match="no detail energy"):
+        with pytest.raises(DegenerateWindowError, match="has no energy"):
             xcorr.correlate_block(block, "ccwd")
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 16, 21, 22, 37, 128, 256])
+    @pytest.mark.parametrize("dt", [4e-9, 6.25e-9, 2.5e-9])
+    @pytest.mark.parametrize("scale", [1.0, 1e70, 1e-70, 2.0**-500])
+    def test_one_transform_matches_the_full_gain_route_to_the_byte(self, n, dt, scale):
+        """Without `details`, ccwd takes them from `wavelet_details` of the
+        block at half gain.  The route it replaced transformed the block at
+        full gain and summed its levels' spectra as below; the halving
+        scales every detail exactly and the coefficient is a ratio, so no
+        byte moves.  At 2**-500 every pair's energy product underflows, and
+        both routes find the block degenerate."""
+        block = scale * np.random.default_rng(n).normal(size=(3, 3, n))
+        m, selected = 1 << int(np.ceil(np.log2(2 * n - 1))), xcorr.band_levels(dt)
+        filters = wavelets.level_filters(wavelets.get_basis("sym4"), max(selected))
+        details = wavelets.modwt_levels(block, filters, approximation=False)
+        cross, wsum = None, 0.0
+        for j in selected:
+            d = details[j - 1]
+            energy = np.einsum("...w,...w->...", d, d)
+            used = (energy[0] != 0.0) & (energy[1:] != 0.0)
+            spectra = np.fft.rfft(d, m)
+            term = np.multiply(np.conj(spectra[0], out=spectra[0]), spectra[1:], out=spectra[1:])
+            if not used.all():
+                term = np.where(used[..., None], term, 0.0)
+            if cross is None:
+                cross = term
+                cross += 0.0
+            else:
+                cross += term
+            wsum = wsum + np.where(used, np.sqrt(energy[0] * energy[1:]), 0.0)
+        if not np.all(wsum):
+            with pytest.raises(DegenerateWindowError):
+                xcorr.correlate_block(block, "ccwd", dt)
+            assert scale == 2.0**-500
+            return
+        c, scale_by = np.fft.irfft(cross, m).transpose(1, 0, 2), wsum.T[..., None]
+        want = np.concatenate([c[..., m - (n - 1):] / scale_by, c[..., :n] / scale_by], axis=-1)
+        assert xcorr.correlate_block(block, "ccwd", dt).tobytes() == want.tobytes()
 
     def test_block_modwt_matches_convolution(self):
         block = np.random.default_rng(20).normal(size=(3, 5, 16))
