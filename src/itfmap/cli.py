@@ -145,6 +145,15 @@ def _config_guard():
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
 
 
+@contextmanager
+def _write_guard(path: str | Path):
+    """An OSError raised inside failed to write `path`: exit 5."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_WRITE) from exc
+
+
 def _pipeline_config(
     cfg: dict, default_hop: int = signals.DEFAULT_HOP, n_windows: int | None = None
 ) -> tuple[pipeline.PipelineConfig, float]:
@@ -220,11 +229,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 seed=seed,
             )
     sim = simulate.simulate_record(track, config.geometry, dt, seed, seed, cfg.get("snr_db"))
-    try:
+    with _write_guard(out):
         save_record(sim.record, out, cfg.get("format"))
         simulate.save_truth(sim, out.with_suffix(out.suffix + ".truth.csv"))
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
     print(f"wrote {out} ({sim.record.length} samples) and ground-truth sidecar")
     return EXIT_OK
 
@@ -256,12 +263,11 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise CliError(f"invalid configuration for {inp}: {exc}", EXIT_CONFIG) from exc
     result = pipeline.map_record(record, config)
     comments = _config_comments(cfg)
-    try:
+    with _write_guard(out):
         pipeline.write_map_csv(result, out, comments)
-        if cfg.get("el_series"):
+    if cfg.get("el_series"):
+        with _write_guard(cfg["el_series"]):
             pipeline.write_elevation_series_csv(result, Path(cfg["el_series"]), comments)
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
     n_valid = int(np.count_nonzero(result.valid))
     print(
         f"wrote {out}: {result.total_windows} windows, {n_valid} valid, "
@@ -303,12 +309,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     datasets = [simulate.simulate_record(track, base.geometry, dt, seed + 7 * ri, seed + ri, snr_db)
                 for ri, track in enumerate(tracks)]
     cells = evaluate.run_benchmark(datasets, base)
-    try:
+    with _write_guard(out):
         evaluate.emit_report_csv(cells, out, _config_comments(cfg))
-        if cfg.get("markdown"):
+    if cfg.get("markdown"):
+        with _write_guard(cfg["markdown"]):
             evaluate.emit_report_markdown(cells, Path(cfg["markdown"]))
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
     scored = [c for c in cells if np.isfinite(c.mean_dist_deg)]
     best = min(scored, key=lambda c: c.mean_dist_deg) if scored else None
     summary = (f"best {best.filter_id}/{best.method}/{best.interp_method} x{best.factor} "
@@ -386,10 +391,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         index, az, el, _peak, valid = pipeline.read_map_csv(inp)
     except (OSError, ValueError, OverflowError) as exc:  # OverflowError: an index beyond int64
         raise CliError(f"cannot parse map CSV {inp}: {exc}", EXIT_INPUT) from exc
-    try:
+    with _write_guard(out):
         render_map_svg(index[valid], az[valid], el[valid], out, title=inp.name)
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}", EXIT_WRITE) from exc
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -27,6 +27,7 @@ DEFAULT_BAND = (20e6, 100e6)   # digital band-pass cut-offs
 BANDS = {"bpf": DEFAULT_BAND, "bpf-hw": SIGNAL_BAND}
 DEFAULT_ORDER = 4
 DEFAULT_LEVELS = 4
+KALMAN_Q_OVER_R = 0.01     # kf's process over measurement variance
 
 
 def parse_filter_spec(text: str) -> str | None:
@@ -66,13 +67,13 @@ def apply_filter(signal: np.ndarray, spec: str | None, dt: float) -> np.ndarray:
     if spec in BANDS:
         return bandpass_filter(signal, BANDS[spec], dt)
     if spec == "kf":
-        # on the channel over the power of two above its peak, so that no
-        # square in the estimate overflows; both scalings are exact and the
-        # filter is linear in the samples, so no output bit moves
+        # the gains read only q/r, so every channel gets the same filter;
+        # it runs on the channel over the power of two above its peak, so
+        # that z - x stays finite for samples above half the largest float.
+        # Both scalings are exact, and the filter is linear in the samples
         x = np.asarray(signal, dtype=np.float64)
         e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
-        z = np.ldexp(x, -e)
-        return np.ldexp(kalman_filter(z, *_kalman_vars(z, e)), e)
+        return np.ldexp(kalman_filter(np.ldexp(x, -e), KALMAN_Q_OVER_R, 1.0), e)
     basis, rule = _wavelet(spec)
     return wavelet_denoise(signal, basis, DEFAULT_LEVELS, rule)
 
@@ -135,27 +136,6 @@ def kalman_filter(signal: np.ndarray, q: float, r: float) -> np.ndarray:
     if q < 0:
         raise ValueError(f"process variance must be >= 0, got {q}")
     return kalman_local_level(np.asarray(signal, dtype=np.float64), q, r)
-
-
-def estimate_kalman_vars(signal: np.ndarray) -> tuple[float, float]:
-    """(q, r) for `kalman_filter`: r from the first-difference variance over
-    two (white-noise estimate), at least 1e-30, and q = r/100; (1e-6, 1e-4)
-    for fewer than 3 samples."""
-    return _kalman_vars(np.asarray(signal, dtype=np.float64), 0)
-
-
-def _kalman_vars(z: np.ndarray, e: int) -> tuple[float, float]:
-    """`estimate_kalman_vars` of the channel z * 2**e, its estimate scaled by
-    4**-e: `kalman_filter`'s gains read (q, r) only up to a common power of
-    two, so on z they are the channel's.  The constants and the 1e-30 floor
-    apply as on the channel."""
-    if len(z) < 3:
-        return 1e-6, 1e-4
-    r = float(np.var(np.diff(z))) / 2.0
-    with np.errstate(over="ignore"):  # the channel's r may overflow: it is no floor then
-        if np.ldexp(r, 2 * e) < 1e-30:  # NaN stays NaN, as under max(r, 1e-30)
-            r = 1e-30
-    return r / 100.0, r
 
 
 def wavelet_denoise(

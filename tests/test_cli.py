@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from itfmap import evaluate, pipeline, simulate
-from itfmap.cli import COMMANDS, EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROCESS, SETTINGS, build_parser, main
+from itfmap.cli import (COMMANDS, EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_PROCESS, EXIT_WRITE, SETTINGS, build_parser,
+                        main)
 from itfmap.signals import SampleRecord, load_record, save_record
 
 
@@ -102,8 +103,9 @@ class TestMapCommand:
         assert maps[0] == maps[1]
 
     def test_kf_maps_a_record_scaled_near_the_overflow_as_the_record(self, tmp_path):
-        # kf's variance estimate squares first differences, which overflow
-        # at 2**660 times the record unless the channel is scaled first
+        # kf filters each channel over a power of two near its peak, and the
+        # correlation coefficient is a ratio: no byte moves at 2**660 times
+        # the record, and nothing overflows
         rec = load_record(self.make_record(tmp_path, windows=72, window=64, hop=4))
         maps = []
         for scale in (1.0, 2.0**660):
@@ -229,6 +231,13 @@ class TestMapCommand:
         assert len(lines) > 1
         for path in (el, tmp_path / "m.csv"):  # output paths are not among the settings comments
             assert not [l for l in path.read_text().splitlines() if l.startswith(("# output", "# el_series"))]
+
+    def test_unwritable_el_series_names_that_file(self, tmp_path, capsys):
+        rec = self.make_record(tmp_path)
+        el = tmp_path / "nodir" / "el.csv"
+        assert run("map", "--input", str(rec), "--output", str(tmp_path / "m.csv"), "--window", "128", "--hop", "4",
+                   "--el-series", str(el)) == EXIT_WRITE
+        assert capsys.readouterr().err.startswith(f"error: cannot write {el}:")
 
     def test_byte_identical_reruns(self, tmp_path):
         rec = self.make_record(tmp_path)
@@ -473,6 +482,12 @@ class TestBenchCommand:
         # markdown has one row per filter
         body = [l for l in md.read_text().splitlines() if l.startswith("|")][2:]
         assert len(body) == 10
+
+    def test_unwritable_markdown_names_that_file(self, tmp_path, capsys):
+        md = tmp_path / "nodir" / "r.md"
+        assert run("bench", "--output", str(tmp_path / "r.csv"), "--markdown", str(md), "--window", "64",
+                   "--hop", "16", "--records", "1", "--record-windows", "2") == EXIT_WRITE
+        assert capsys.readouterr().err.startswith(f"error: cannot write {md}:")
 
     @pytest.mark.parametrize("all_nan", [False, True])
     def test_best_line_ignores_nan_cells(self, tmp_path, capsys, monkeypatch, all_nan):

@@ -133,15 +133,34 @@ class TestKalman:
     @pytest.mark.parametrize("kind", ["short", "noise", "constant"])
     def test_kf_output_scales_exactly_with_the_channel(self, kind):
         """A power-of-two scaling of the channel scales its kf output to the
-        bit, up to 2**660 where the unscaled variance estimate would
-        overflow.  Short and constant channels take the constants and the
-        1e-30 floor, which read the same at every scale."""
+        bit, from 2**-20 to 2**660: the filter is linear in the samples and
+        runs on the channel over a power of two near its peak."""
         x = {"short": np.array([0.5, -1.25]), "constant": np.full(50, 0.75),
              "noise": np.random.default_rng(10).normal(size=1000)}[kind]
         want = denoise.apply_filter(x, "kf", DT)
         for k in (-20, 7, 660):
             got = denoise.apply_filter(np.ldexp(x, k), "kf", DT)
             assert got.tobytes() == np.ldexp(want, k).tobytes(), k
+
+    @pytest.mark.parametrize("kind", ["noise", "random-walk", "two-sample", "constant"])
+    def test_kf_does_not_depend_on_the_variance_scale(self, kind):
+        """The gains read only q/r, so kf is `kalman_filter` at q = r/100 for
+        any r: within rounding of the settle step, and to the bit when r is a
+        power of two."""
+        rng = np.random.default_rng(11)
+        x = {"noise": rng.normal(size=3000), "random-walk": np.cumsum(rng.normal(size=3000)),
+             "two-sample": np.array([0.5, -1.25]), "constant": np.full(50, 0.75)}[kind]
+        got = denoise.apply_filter(x, "kf", DT)
+        for s in (1e-6, 3.7, 1e6):
+            np.testing.assert_allclose(got, kalman_filter(x, 0.01 * s, s), rtol=0, atol=4e-15 * np.max(np.abs(x)))
+        for s in (2.0**-20, 1.0, 2.0**20):
+            assert got.tobytes() == kalman_filter(x, 0.01 * s, s).tobytes(), s
+
+    def test_kf_stays_finite_near_the_largest_float(self):
+        # unscaled, z - x overflows between samples of opposite sign above
+        # half the largest float
+        big = 0.9 * np.finfo(np.float64).max
+        assert np.isfinite(denoise.apply_filter(np.tile([big, -big], 2000), "kf", DT)).all()
 
 
 class TestWaveletDenoise:

@@ -1,12 +1,12 @@
 """Golden outputs: a seeded `simulate` record, its `map` CSV for every
-correlation method and interpolation spec and its ccwd map under four wavelet
-filters, a copy of the record with a NaN sample and a constant stretch mapped
-at hop 3 by every correlation method, and a seeded `bench` report, as CSV and
-as markdown table, stay byte-identical to the files committed under
-``tests/golden/``.  The ccfd and ccwd maps stay so under OpenBLAS kernels
-forced to other CPUs' (``OPENBLAS_CORETYPE``) as well, and every output stays
-so with NumPy's AVX-512 dispatch targets switched off
-(``NPY_DISABLE_CPU_FEATURES``).
+correlation method and interpolation spec, its ccwd map under four wavelet
+filters and its ccfd map under the Kalman filter, a copy of the record with a
+NaN sample and a constant stretch mapped at hop 3 by every correlation method,
+and a seeded `bench` report, as CSV and as markdown table, stay
+byte-identical to the files committed under ``tests/golden/``.  The ccfd and
+ccwd maps stay so under OpenBLAS kernels forced to other CPUs'
+(``OPENBLAS_CORETYPE``) as well, and every output stays so with NumPy's
+AVX-512 dispatch targets switched off (``NPY_DISABLE_CPU_FEATURES``).
 
 Regenerate the files only when an output is meant to change:
 
@@ -49,6 +49,8 @@ BENCH = ["--window", "128", "--hop", "32", "--records", "2", "--record-windows",
 # mapped by ccwd: pins the periodic DWT at full precision
 WT_FILTERS = ("wt-sym4-sure", "wt-coif5-sure", "wt-db10-universal", "wt-fk14-universal")
 WT_MAP = ["--cc", "ccwd", "--interp", "cubic:8", "--window", "128", "--hop", "1"]
+# the golden record through kf, then mapped by ccfd: pins the Kalman filter
+KF_MAP = ["--filter", "kf", "--cc", "ccfd", "--interp", "cubic:8", "--window", "128", "--hop", "1"]
 
 
 def map_name(cc: str, interp: str) -> str:
@@ -60,6 +62,7 @@ OUTPUTS = (
     + [map_name(cc, interp) for cc in CC_METHODS for interp in INTERPS]
     + [GAPS] + [f"map-gaps-{cc}.csv" for cc in CC_METHODS]
     + [f"map-{spec}-ccwd.csv" for spec in WT_FILTERS]
+    + ["map-kf-ccfd.csv"]
 )
 
 
@@ -85,6 +88,7 @@ def map_runs() -> list[tuple[str, list[str]]]:
     for spec in WT_FILTERS:
         runs.append((f"map-{spec}-ccwd.csv", ["map", "--input", RECORD, "--output", f"map-{spec}-ccwd.csv",
                                               "--filter", spec, *WT_MAP]))
+    runs.append(("map-kf-ccfd.csv", ["map", "--input", RECORD, "--output", "map-kf-ccfd.csv", *KF_MAP]))
     return runs
 
 
@@ -134,7 +138,7 @@ def test_library_recipe_writes_the_golden_record(tmp_path):
 # another CPU's.  ccfd and ccwd make no BLAS call, so their maps must not move;
 # cctd still takes its correlation from BLAS (`np.correlate`), and its maps do
 # move in the last digits of peak_coeff: these are left out.  The periodic DWT
-# of the wt-* filters makes no BLAS call either.
+# of the wt-* filters and the Kalman recursion make no BLAS call either.
 FOREIGN_CORES = ("Haswell", "Prescott")
 CROSS_CORE_MAPS = [name for name, _ in map_runs() if "-cctd" not in name]
 NOT_YET_CROSS_CORE = [name for name, _ in map_runs() if name not in CROSS_CORE_MAPS]
@@ -196,7 +200,7 @@ def foreign_maps(tmp_path_factory) -> dict:
 
 
 def test_cross_core_set_is_the_ccfd_and_ccwd_maps():
-    assert len(CROSS_CORE_MAPS) == 16 and len(NOT_YET_CROSS_CORE) == 6
+    assert len(CROSS_CORE_MAPS) == 17 and len(NOT_YET_CROSS_CORE) == 6
     assert all("-ccfd" in n or "-ccwd" in n for n in CROSS_CORE_MAPS)
     assert all("-cctd" in n for n in NOT_YET_CROSS_CORE)
 
