@@ -17,7 +17,6 @@ import argparse
 import itertools
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from itfmap import evaluate, geometry, pipeline, signals, simulate
 from itfmap.denoise import parse_filter_spec
 from itfmap.geometry import ArrayGeometry
 from itfmap.signals import SegmentationPlan, load_record, record_format, save_record
-from itfmap.xcorr import InterpSpec
+from itfmap.xcorr import CC_METHODS, InterpSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -82,6 +81,9 @@ SETTINGS = {
     "records": (int, ("bench",), "simulated records to score"),
     "record_windows": (int, ("bench",), "windows per record"),
 }
+# the settings that name a file a command writes; every other setting is
+# written into the map, elevation and report CSVs as a header comment
+OUTPUT_KEYS = ("output", "markdown", "el_series")
 
 
 def read_config_file(path: Path, command: str) -> dict:
@@ -124,9 +126,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args: argparse.Namespace) -> dict:
-    """The command's settings from its config file, overlaid by its flags."""
+    """The command's settings from its config file, overlaid by its flags.
+
+    Exits 3 when a setting other than an output path holds a line break,
+    which would split its header comment, or when two output paths resolve
+    to one file, which the second write would overwrite."""
     cfg = read_config_file(args.config, args.command) if args.config else {}
     cfg.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    with _config_guard():  # also catches `resolve`'s ValueError on a NUL byte
+        for key, value in cfg.items():
+            text = str(value)
+            if key not in OUTPUT_KEYS and "".join(text.splitlines()) != text:
+                raise ValueError(f"setting {key!r} holds a line break: {text!r}")
+        outputs = [cfg[k] for k in OUTPUT_KEYS if cfg.get(k)]
+        if len(outputs) > 1 and len({Path(o).resolve() for o in outputs}) < len(outputs):
+            raise ValueError(f"output paths {' and '.join(map(repr, outputs))} name one file")
     return cfg
 
 
@@ -156,11 +170,11 @@ def _write_guard(path: str | Path):
 
 def _pipeline_config(
     cfg: dict, default_hop: int = signals.DEFAULT_HOP, n_windows: int | None = None
-) -> tuple[pipeline.PipelineConfig, float]:
-    """The run configuration and the sample interval (s) from the merged
-    settings; any bad value exits 3.  A run that synthesizes `n_windows`
-    windows also exits 3 for a window count below 1 or a baseline transit
-    above `simulate.MAX_DELAY_SAMPLES`."""
+) -> tuple[SegmentationPlan, ArrayGeometry, float]:
+    """The window plan, the array geometry and the sample interval (s) from
+    the merged settings; any bad value exits 3.  A run that synthesizes
+    `n_windows` windows also exits 3 for a window count below 1 or a
+    baseline transit above `simulate.MAX_DELAY_SAMPLES`."""
     with _config_guard():
         if n_windows is not None and n_windows < 1:
             raise ValueError(f"window count must be at least 1, got {n_windows}")
@@ -176,20 +190,13 @@ def _pipeline_config(
         if n_windows is not None and not geom.transit_time / dt <= simulate.MAX_DELAY_SAMPLES:
             raise ValueError(f"baseline transit of {geom.transit_time / dt:.3g} samples; synthesis "
                              f"pads a window by at most {simulate.MAX_DELAY_SAMPLES}")
-        config = pipeline.PipelineConfig(
-            filter_spec=parse_filter_spec(cfg.get("filter", "none")),
-            cc_method=cfg.get("cc", "cctd"),
-            interp=InterpSpec.parse(cfg.get("interp", "none")),
-            plan=plan,
-            geometry=geom,
-        )
-    return config, dt
+    return plan, geom, dt
 
 
 def _config_comments(cfg: dict) -> list[str]:
     """The settings as header comments, all but the output paths: a result's
     bytes do not depend on the file it is written to."""
-    return [f"{k} = {cfg[k]}" for k in sorted(cfg) if k not in ("output", "markdown", "el_series")]
+    return [f"{k} = {cfg[k]}" for k in sorted(cfg) if k not in OUTPUT_KEYS]
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +208,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     out = Path(_require(cfg, "output"))
     n_windows = cfg.get("windows", 200)
-    config, dt = _pipeline_config(cfg, n_windows=n_windows)
+    plan, geom, dt = _pipeline_config(cfg, n_windows=n_windows)
     seed = cfg.get("seed", 0)
     with _config_guard():  # nothing is synthesized or written for a bad setting
         if seed < 0:
@@ -217,8 +224,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             el0=cfg.get("el", 45.0),
             az1=cfg.get("az_end"),
             el1=cfg.get("el_end"),
-            window_length=config.plan.window_length,
-            hop=config.plan.hop,
+            window_length=plan.window_length,
+            hop=plan.hop,
         )
         if any(k in cfg for k in ("augment_noise_sigma", "augment_scale", "augment_flip")):
             track = simulate.augment_track(
@@ -228,7 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 flip=bool(cfg.get("augment_flip", 0)),
                 seed=seed,
             )
-    sim = simulate.simulate_record(track, config.geometry, dt, seed, seed, cfg.get("snr_db"))
+    sim = simulate.simulate_record(track, geom, dt, seed, seed, cfg.get("snr_db"))
     with _write_guard(out):
         save_record(sim.record, out, cfg.get("format"))
         simulate.save_truth(sim, out.with_suffix(out.suffix + ".truth.csv"))
@@ -243,17 +250,24 @@ def cmd_map(args: argparse.Namespace) -> int:
     out = Path(_require(cfg, "output"))
     if not inp.exists():
         raise CliError(f"input not found: {inp}", EXIT_INPUT)
-    config, _ = _pipeline_config(cfg)
+    plan, geom, _ = _pipeline_config(cfg)
     with _config_guard():
+        config = pipeline.PipelineConfig(
+            filter_spec=parse_filter_spec(cfg.get("filter", "none")),
+            cc_method=cfg.get("cc", "cctd"),
+            interp=InterpSpec.parse(cfg.get("interp", "none")),
+            plan=plan,
+            geometry=geom,
+        )
         fmt = record_format(inp, cfg.get("format"))
     try:
         record = load_record(inp, fmt)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load {inp}: {exc}", EXIT_INPUT) from exc
-    if record.length < config.plan.window_length:
+    if record.length < plan.window_length:
         raise CliError(
             f"record of {record.length} samples is shorter than the "
-            f"window length {config.plan.window_length}; segmentation "
+            f"window length {plan.window_length}; segmentation "
             "requires window_length <= record length",
             EXIT_PROCESS,
         )
@@ -282,7 +296,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(_require(cfg, "output"))
     n_records = cfg.get("records", 2)
     n_windows = cfg.get("record_windows", 120)
-    base, dt = _pipeline_config(cfg, default_hop=16, n_windows=n_windows)
+    plan, geom, dt = _pipeline_config(cfg, default_hop=16, n_windows=n_windows)
     seed = cfg.get("seed", 0)
     # channels carry noise by default: threshold-based denoisers are only
     # meaningful (and only well-behaved) on noisy inputs
@@ -291,9 +305,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if n_records < 1:
             raise ValueError(f"record count must be at least 1, got {n_records}")
         simulate.snr_power_ratio(snr_db)
-        length = (n_windows - 1) * base.plan.hop + base.plan.window_length
-        for filter_id, method in itertools.product(evaluate.FILTERS, evaluate.METHODS):
-            replace(base, filter_spec=parse_filter_spec(filter_id), cc_method=method).check_record(dt, length)
+        length = (n_windows - 1) * plan.hop + plan.window_length
+        for filter_id, method in itertools.product(evaluate.FILTERS, CC_METHODS):
+            pipeline.PipelineConfig(parse_filter_spec(filter_id), method, plan=plan).check_record(dt, length)
         # record 0 is the record `simulate` writes with the same seed,
         # window, hop and snr, so a bench cell can be cross-checked
         # against a mapped record.  Track 0 takes `seed` and every later
@@ -302,13 +316,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             simulate.make_track(
                 "random-walk", n_windows, seed=seed + 101 * ri,
                 az0=120.0 + 40.0 * ri, el0=45.0 + 5.0 * ri,
-                window_length=base.plan.window_length, hop=base.plan.hop,
+                window_length=plan.window_length, hop=plan.hop,
             )
             for ri in range(n_records)
         ]
-    datasets = [simulate.simulate_record(track, base.geometry, dt, seed + 7 * ri, seed + ri, snr_db)
+    datasets = [simulate.simulate_record(track, geom, dt, seed + 7 * ri, seed + ri, snr_db)
                 for ri, track in enumerate(tracks)]
-    cells = evaluate.run_benchmark(datasets, base)
+    cells = evaluate.run_benchmark(datasets, geom)
     with _write_guard(out):
         evaluate.emit_report_csv(cells, out, _config_comments(cfg))
     if cfg.get("markdown"):

@@ -21,11 +21,12 @@ from itfmap.denoise import parse_filter_spec
 # one-window forms of the pipeline stages; perfbench's tracer expects them
 # bound here as well
 from itfmap.geometry import direction_from_tdoa  # noqa: F401
-from itfmap.pipeline import PipelineConfig, correlate_window, denoise_record, solve_directions, window_peaks  # noqa: F401
+from itfmap.pipeline import correlate_window, denoise_record, solve_directions, window_peaks  # noqa: F401
 from itfmap.signals import normalize_window, segment  # noqa: F401
-from itfmap.signals import read_table, write_table
+from itfmap.geometry import ArrayGeometry
+from itfmap.signals import SegmentationPlan, read_table, write_table
 from itfmap.simulate import AngleTrack, SimulatedRecord
-from itfmap.xcorr import InterpSpec
+from itfmap.xcorr import CC_METHODS, InterpSpec
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ FILTERS = (
     "bpf",
     "kf",
 )
-METHODS = ("cctd", "ccfd", "ccwd")
 INTERP_METHODS = ("linear", "cubic")
 FACTORS = (1, 2, 4, 8)
 
@@ -97,9 +97,11 @@ class CellResult:
     excluded_windows: int
 
 
-def run_benchmark(datasets: list[SimulatedRecord], base_config: PipelineConfig | None = None) -> list[CellResult]:
-    """Score every grid cell on every dataset; the cells come in report
-    order, filter by filter, then method, interpolation method and factor.
+def run_benchmark(datasets: list[SimulatedRecord], geometry: ArrayGeometry) -> list[CellResult]:
+    """Score every grid cell on every dataset, mapped onto `geometry`; the
+    cells come in report order, filter by filter, then method (as
+    `xcorr.CC_METHODS`), interpolation method and factor.  Each record is
+    windowed as its truth track is, by the track's window length and hop.
 
     Per dataset and filter the denoised record is computed once, and its
     windows are normalized once per block for every correlation method; per
@@ -112,11 +114,12 @@ def run_benchmark(datasets: list[SimulatedRecord], base_config: PipelineConfig |
     """
     if not datasets:
         raise ValueError("benchmark needs at least one dataset")
-    base = base_config or PipelineConfig()
+    plans = []
     for ds in datasets:
         if ds.truth is None:
             raise ValueError("benchmark datasets must carry ground truth")
-        n_windows = base.plan.count(ds.record.length)
+        plans.append(SegmentationPlan(ds.truth.window_length, ds.truth.hop))
+        n_windows = plans[-1].count(ds.record.length)
         if len(ds.truth) != n_windows:
             raise ValueError(f"ground truth of {len(ds.truth)} windows for a record of {n_windows}")
 
@@ -127,18 +130,18 @@ def run_benchmark(datasets: list[SimulatedRecord], base_config: PipelineConfig |
     for filter_id in FILTERS:
         spec = parse_filter_spec(filter_id)
         # method -> interp spec -> per-record stats
-        stats: dict[str, dict[InterpSpec, list[ErrorStats]]] = {m: {s: [] for s in specs} for m in METHODS}
-        for ds in datasets:
-            peaks = window_peaks(denoise_record(ds.record, spec), base, METHODS)
+        stats: dict[str, dict[InterpSpec, list[ErrorStats]]] = {m: {s: [] for s in specs} for m in CC_METHODS}
+        for ds, plan in zip(datasets, plans):
+            peaks = window_peaks(denoise_record(ds.record, spec), plan, CC_METHODS)
             for method, wp in peaks.items():
-                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), base, ds.record.sample_interval)
+                results = solve_directions(wp, xcorr.refine_peaks(wp.peaks, specs), geometry)
                 for interp, result in zip(specs, results):
                     try:
                         record_stats = map_error_stats(result.track(), ds.truth)
                     except ValueError:  # no window valid on both sides
                         record_stats = ErrorStats(mean_deg=float("nan"), included=0, excluded=len(ds.truth))
                     stats[method][interp].append(record_stats)
-        for method, interp_method, factor in itertools.product(METHODS, INTERP_METHODS, FACTORS):
+        for method, interp_method, factor in itertools.product(CC_METHODS, INTERP_METHODS, FACTORS):
             per_record = stats[method][InterpSpec(interp_method, factor)]
             scored = [s.mean_deg for s in per_record if s.included > 0]
             cells.append(CellResult(
@@ -168,7 +171,7 @@ def emit_report_csv(cells: Sequence[CellResult], path: str | Path, header_commen
 def emit_report_markdown(cells: Sequence[CellResult], path: str | Path) -> Path:
     """Render `run_benchmark`'s cells in the benchmark-table layout: one row
     per filter, its method/interp/factor combinations as columns."""
-    per_filter = len(METHODS) * len(INTERP_METHODS) * len(FACTORS)
+    per_filter = len(CC_METHODS) * len(INTERP_METHODS) * len(FACTORS)
     head = [f"{c.method.upper()} {c.interp_method} x{c.factor}" for c in cells[:per_filter]]
     lines = ["| filter | " + " | ".join(head) + " |", "|" + "---|" * (per_filter + 1)]
     for i in range(0, len(cells), per_filter):

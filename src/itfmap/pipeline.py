@@ -114,16 +114,12 @@ def denoise_record(record: SampleRecord, spec: str | None) -> SampleRecord:
     return SampleRecord(filtered, record.sample_interval, record.label)
 
 
-def correlate_window(
-    window: Window,
-    config: PipelineConfig,
-    dt: float,
-) -> tuple[CorrelationSeries, CorrelationSeries] | None:
-    """(BC, BD) correlation series for one normalized window, or None when
-    any needed channel is degenerate."""
+def correlate_window(window: Window, method: str, dt: float) -> tuple[CorrelationSeries, CorrelationSeries] | None:
+    """(BC, BD) correlation series for one normalized window by `method`, or
+    None when any needed channel is degenerate."""
     if any(window.degenerate):
         return None
-    bc, bd = xcorr.correlate_block(window.segments[:, None], config.cc_method, dt)[0]
+    bc, bd = xcorr.correlate_block(window.segments[:, None], method, dt)[0]
     lags = np.arange(1 - window.length, window.length)
     return CorrelationSeries(lags, bc), CorrelationSeries(lags, bd)
 
@@ -131,26 +127,27 @@ def correlate_window(
 @dataclass(frozen=True)
 class WindowPeaks:
     """Correlation peaks of a record's windows on both baselines: the rows of
-    `peaks` are BC, BD, BC, BD, ... for the windows in `index`."""
+    `peaks` are BC, BD, BC, BD, ... for the windows in `index`, cut by
+    `plan` from a record sampled every `sample_interval` seconds."""
 
     index: np.ndarray
     degenerate: np.ndarray
     total_windows: int
     peaks: xcorr.PeakNeighborhoods
+    plan: SegmentationPlan
+    sample_interval: float
 
 
-def window_peaks(
-    record: SampleRecord, config: PipelineConfig, methods: Sequence[str] | None = None
-) -> dict[str, WindowPeaks]:
+def window_peaks(record: SampleRecord, plan: SegmentationPlan, methods: Sequence[str]) -> dict[str, WindowPeaks]:
     """Normalize the record's windows and correlate them on both baselines
-    by each of `methods` (default `config.cc_method`), `WINDOW_CHUNK`
-    windows at a time, keeping only each series' integer peak and
-    neighborhood: memory holds one block, never all the windows."""
-    w, hop, total = config.plan.window_length, config.plan.hop, config.plan.count(record.length)
+    by each of `methods`, `WINDOW_CHUNK` windows at a time, keeping only
+    each series' integer peak and neighborhood: memory holds one block,
+    never all the windows."""
+    w, hop, total = plan.window_length, plan.hop, plan.count(record.length)
     dt = record.sample_interval
     views = sliding_window_view(record.channels, w, axis=1)[:, ::hop]
     lost = np.zeros(total, dtype=bool)
-    parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods or (config.cc_method,)}
+    parts = {m: [xcorr.peak_neighborhoods(np.empty((0, 2 * w - 1)))] for m in methods}
     for start in range(0, total, WINDOW_CHUNK):
         raw = views[:, start : start + WINDOW_CHUNK]
         block = raw.copy()
@@ -174,32 +171,35 @@ def window_peaks(
     fields = ("lag", "neighborhood")
     return {
         m: WindowPeaks(np.flatnonzero(~lost), np.flatnonzero(lost), total, xcorr.PeakNeighborhoods(
-            w - 1, *(np.concatenate([getattr(p, f) for p in found]) for f in fields)))
+            w - 1, *(np.concatenate([getattr(p, f) for p in found]) for f in fields)), plan, dt)
         for m, found in parts.items()
     }
 
 
-def solve_directions(wp: WindowPeaks, lags: Sequence[np.ndarray], config: PipelineConfig, dt: float) -> list[MapResult]:
+def solve_directions(wp: WindowPeaks, lags: Sequence[np.ndarray], geometry: ArrayGeometry) -> list[MapResult]:
     """Directions of the correlated windows, one result per array in `lags`:
-    refined peak lags in the row order of `wp.peaks`.  `direction_from_tdoa`
-    runs once per distinct (BC, BD) lag pair over all of them."""
+    refined peak lags in the row order of `wp.peaks`, on the grid and
+    sample interval of `wp`.  `direction_from_tdoa` runs once per distinct
+    (BC, BD) lag pair over all of them."""
+    dt = wp.sample_interval
     pairs, inverse = np.unique(np.reshape(lags, (-1, 2)), axis=0, return_inverse=True)
-    solved = [direction_from_tdoa(bc * dt, bd * dt, config.geometry) for bc, bd in pairs.tolist()]
+    solved = [direction_from_tdoa(bc * dt, bd * dt, geometry) for bc, bd in pairs.tolist()]
     valid = np.array([e.valid for e in solved], dtype=bool)
     angles = np.array([(e.az_deg, e.el_deg) for e in solved], dtype=np.float64).reshape(-1, 2)  # None -> NaN
     peak_bc, peak_bd = wp.peaks.coefficient.reshape(-1, 2).T
     peak = np.where(peak_bd < peak_bc, peak_bd, peak_bc)  # min(peak_bc, peak_bd), ties to BC
     return [
         MapResult(wp.index, *angles[rows].T, valid[rows], peak, wp.degenerate, wp.total_windows, dt,
-                  config.plan.hop, config.plan.window_length)
+                  wp.plan.hop, wp.plan.window_length)
         for rows in inverse.reshape(len(lags), -1)
     ]
 
 
 def map_record(record: SampleRecord, config: PipelineConfig) -> MapResult:
     """Run the full chain on one record."""
-    wp = window_peaks(denoise_record(record, config.filter_spec), config)[config.cc_method]
-    return solve_directions(wp, xcorr.refine_peaks(wp.peaks, [config.interp]), config, record.sample_interval)[0]
+    method = config.cc_method
+    wp = window_peaks(denoise_record(record, config.filter_spec), config.plan, [method])[method]
+    return solve_directions(wp, xcorr.refine_peaks(wp.peaks, [config.interp]), config.geometry)[0]
 
 
 # ----------------------------------------------------------------------

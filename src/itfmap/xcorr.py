@@ -98,13 +98,16 @@ def _validated(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The one-window block (see `correlate_block`) pairing x with y, each
     over the power of two above its peak: an exact scaling, so no
     coefficient bit moves, which keeps the energies of raw samples far from
-    1 from overflowing or underflowing."""
+    1 from overflowing or underflowing.  ValueError on a non-finite sample,
+    as `refine_peak` gives on a non-finite neighborhood."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("expected two equal-length 1-D segments")
     if len(x) < 2:
         raise ValueError("segments must have at least 2 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("correlation needs finite segments")
     return np.stack([np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y)])[:, None]
 
 

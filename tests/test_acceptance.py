@@ -105,8 +105,7 @@ def test_criterion_4_full_grid_completes(tmp_path, criterion_reporter):
             el_range=(15.0, 70.0), window_length=W, hop=hop,
         )
         datasets.append(simulate.simulate_record(track, geom, DT, seed=50 + ri, noise_seed=60 + ri, snr_db=20.0))
-    base = pipeline.PipelineConfig(plan=plan, geometry=geom)
-    cells = run_benchmark(datasets, base)
+    cells = run_benchmark(datasets, geom)
     csv_path = evaluate.emit_report_csv(cells, tmp_path / "grid.csv")
     md_path = evaluate.emit_report_markdown(cells, tmp_path / "grid.md")
     elapsed = time.perf_counter() - t0

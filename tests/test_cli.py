@@ -232,6 +232,34 @@ class TestMapCommand:
         for path in (el, tmp_path / "m.csv"):  # output paths are not among the settings comments
             assert not [l for l in path.read_text().splitlines() if l.startswith(("# output", "# el_series"))]
 
+    def test_el_series_naming_the_map_file_is_config_error(self, tmp_path, capsys, monkeypatch):
+        rec = self.make_record(tmp_path, windows=10, window=64)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pipeline, "map_record", lambda *a: pytest.fail("mapped"))
+        same = tmp_path / "sub" / ".." / "m.csv"  # resolves to ./m.csv
+        assert run("map", "--input", str(rec), "--output", "m.csv", "--el-series", str(same),
+                   "--window", "64", "--hop", "8") == EXIT_CONFIG
+        assert "name one file" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    # a value `plot` would read back as bare lines above the map CSV's header
+    @pytest.mark.parametrize("argv", [["--filter", "\nnone"], ["--interp", "\ncubic:8"], ["--filter", "none\u2028"]])
+    def test_setting_holding_a_line_break_is_config_error(self, tmp_path, capsys, argv):
+        rec = self.make_record(tmp_path, windows=10, window=64)
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out), "--window", "64", "--hop", "8",
+                   *argv) == EXIT_CONFIG
+        assert "holds a line break" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_name_holding_a_line_break_is_config_error(self, tmp_path, capsys, monkeypatch):
+        rec = self.make_record(tmp_path, windows=10, window=64).rename(tmp_path / "rec\n.csv")
+        monkeypatch.setattr("itfmap.cli.load_record", lambda *a: pytest.fail("read"))
+        out = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(out), "--window", "64", "--hop", "8") == EXIT_CONFIG
+        assert "holds a line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_el_series_names_that_file(self, tmp_path, capsys):
         rec = self.make_record(tmp_path)
         el = tmp_path / "nodir" / "el.csv"
@@ -423,7 +451,7 @@ class TestBenchCommand:
     def test_record_zero_is_the_simulate_record(self, tmp_path, monkeypatch):
         caught = []
 
-        def catch(datasets, base):
+        def catch(datasets, geometry):
             caught.extend(datasets)
             return []
 
@@ -483,6 +511,13 @@ class TestBenchCommand:
         body = [l for l in md.read_text().splitlines() if l.startswith("|")][2:]
         assert len(body) == 10
 
+    def test_markdown_naming_the_report_file_is_config_error(self, tmp_path, capsys, synthesized):
+        out = tmp_path / "r.csv"
+        assert run("bench", "--output", str(out), "--markdown", str(out), "--window", "64",
+                   "--hop", "16", "--records", "1", "--record-windows", "2") == EXIT_CONFIG
+        assert "name one file" in capsys.readouterr().err
+        assert synthesized == [] and not out.exists()
+
     def test_unwritable_markdown_names_that_file(self, tmp_path, capsys):
         md = tmp_path / "nodir" / "r.md"
         assert run("bench", "--output", str(tmp_path / "r.csv"), "--markdown", str(md), "--window", "64",
@@ -491,7 +526,7 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("all_nan", [False, True])
     def test_best_line_ignores_nan_cells(self, tmp_path, capsys, monkeypatch, all_nan):
-        def fake_run_benchmark(datasets, base):
+        def fake_run_benchmark(datasets, geometry):
             dists = [float("nan")] * 4 if all_nan else [float("nan"), 7.5, 2.25, 4.0]
             return [evaluate.CellResult("bpf", "cctd", "cubic", 2 ** k, dist, 0, 0) for k, dist in enumerate(dists)]
 

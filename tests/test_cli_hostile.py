@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from itfmap.cli import main
 from itfmap.geometry import ArrayGeometry
-from itfmap.pipeline import PipelineConfig, correlate_window, window_peaks
+from itfmap.pipeline import correlate_window, window_peaks
 from itfmap.signals import MAGIC, SegmentationPlan, load_record, normalize_window, segment
 from itfmap.simulate import make_track, simulate_record
 
@@ -152,9 +152,8 @@ def test_ccwd_maps_hostile_samples_as_the_per_window_form(capsys, kind, hop):
     assert "Traceback" not in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     np.testing.assert_array_equal(record.channels, data)
-    cfg = PipelineConfig(cc_method="ccwd", plan=plan)
-    wp = window_peaks(record, cfg)["ccwd"]
-    pairs = [correlate_window(normalize_window(w), cfg, 4e-9) for w in segment(record, plan)]
+    wp = window_peaks(record, plan, ["ccwd"])["ccwd"]
+    pairs = [correlate_window(normalize_window(w), "ccwd", 4e-9) for w in segment(record, plan)]
     np.testing.assert_array_equal(wp.index, [i for i, pair in enumerate(pairs) if pair is not None])
     np.testing.assert_array_equal(wp.peaks.lag, [s.peak()[0] for pair in pairs if pair for s in pair])
     if kind == "non-finite" and hop == 1:

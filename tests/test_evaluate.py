@@ -12,7 +12,6 @@ from itfmap.evaluate import (
     FACTORS,
     FILTERS,
     INTERP_METHODS,
-    METHODS,
     emit_report_csv,
     emit_report_markdown,
     load_report_csv,
@@ -24,7 +23,7 @@ from itfmap.evaluate import (
 from itfmap.geometry import ArrayGeometry
 from itfmap.signals import SegmentationPlan
 from itfmap.simulate import AngleTrack
-from itfmap.xcorr import InterpSpec
+from itfmap.xcorr import CC_METHODS, InterpSpec
 
 G3 = ArrayGeometry(d=15.0, c=3e8)
 
@@ -96,8 +95,8 @@ def tiny_dataset(seed=0, n_win=40, W=64, hop=8):
     return simulate.synthesize_record(ref, tr, G3, dt=dt)
 
 
-BASE = pipeline.PipelineConfig(plan=SegmentationPlan(64, 8), geometry=G3)
-GRID = list(itertools.product(FILTERS, METHODS, INTERP_METHODS, FACTORS))
+PLAN = SegmentationPlan(64, 8)  # the grid `tiny_dataset` cuts by default
+GRID = list(itertools.product(FILTERS, CC_METHODS, INTERP_METHODS, FACTORS))
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +108,7 @@ def noisy_dataset():
 
 @pytest.fixture(scope="module")
 def cells(noisy_dataset):
-    return run_benchmark([noisy_dataset], BASE)
+    return run_benchmark([noisy_dataset], G3)
 
 
 def key(c):
@@ -124,8 +123,8 @@ class TestBenchmark:
     def test_every_cell_equals_a_single_run(self, noisy_dataset, cells):
         ds = noisy_dataset
         for c in cells:
-            cfg = replace(BASE, filter_spec=parse_filter_spec(c.filter_id), cc_method=c.method,
-                          interp=InterpSpec(c.interp_method, c.factor))
+            cfg = pipeline.PipelineConfig(parse_filter_spec(c.filter_id), c.method,
+                                          InterpSpec(c.interp_method, c.factor), PLAN, G3)
             res = pipeline.map_record(ds.record, cfg)
             try:
                 stats = map_error_stats(res.track(), ds.truth)
@@ -138,7 +137,7 @@ class TestBenchmark:
 
     def test_deterministic_reports(self, tmp_path, noisy_dataset, cells):
         p1 = emit_report_csv(cells, tmp_path / "a.csv")
-        p2 = emit_report_csv(run_benchmark([noisy_dataset], BASE), tmp_path / "b.csv")
+        p2 = emit_report_csv(run_benchmark([noisy_dataset], G3), tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_roundtrip_six_decimals(self, tmp_path, cells):
@@ -158,7 +157,7 @@ class TestBenchmark:
     def test_factor_one_interp_methods_agree(self, cells):
         # factor 1 collapses linear and cubic to the integer peak
         by_key = {key(c): c for c in cells}
-        for f, m in itertools.product(FILTERS, METHODS):
+        for f, m in itertools.product(FILTERS, CC_METHODS):
             a, b = by_key[f, m, "linear", 1], by_key[f, m, "cubic", 1]
             assert repr(a.mean_dist_deg) == repr(b.mean_dist_deg) and a.records == b.records
 
@@ -166,17 +165,39 @@ class TestBenchmark:
         ds = tiny_dataset(8, n_win=4)
         broken = simulate.SimulatedRecord(ds.record, None, ds.tau1_s, ds.tau2_s)
         with pytest.raises(ValueError, match="ground truth"):
-            run_benchmark([broken], BASE)
+            run_benchmark([broken], G3)
 
     def test_misaligned_truth_rejected(self):
         ds = tiny_dataset(8, n_win=20)
         truth = AngleTrack(ds.truth.az_deg[:10], ds.truth.el_deg[:10], window_length=64, hop=8)
         short = replace(ds, truth=truth)
         with pytest.raises(ValueError, match="ground truth of 10 windows for a record of 20"):
-            run_benchmark([short], BASE)
+            run_benchmark([short], G3)
 
     def test_record_with_no_valid_truth_window_goes_unscored(self, noisy_dataset):
         truth = noisy_dataset.truth
         blind = replace(noisy_dataset, truth=replace(truth, valid=np.zeros(len(truth), dtype=bool)))
-        for c in run_benchmark([blind], BASE):
+        for c in run_benchmark([blind], G3):
             assert np.isnan(c.mean_dist_deg) and c.records == 0 and c.excluded_windows == len(truth)
+
+    def test_each_record_is_windowed_as_its_truth_track(self):
+        # the 216 samples of 20 windows of 64 at hop 8 also hold 20 windows
+        # of 140 at hop 4, so the window-count check passes either grid:
+        # scored on (140, 4), this cell reads 0.683 deg
+        track = simulate.make_track("random-walk", 20, seed=3, window_length=64, hop=8)
+        ds = simulate.simulate_record(track, ArrayGeometry(), 4e-9, 3, 3, 20.0)
+        by_key = {key(c): c for c in run_benchmark([ds], ArrayGeometry())}
+        assert by_key["bpf", "cctd", "cubic", 8].mean_dist_deg == pytest.approx(0.629, abs=5e-4)
+
+    def test_records_on_different_grids_score_as_each_alone(self):
+        datasets = []
+        for seed, hop in ((1, 8), (2, 16)):
+            ds = tiny_dataset(seed, n_win=6, hop=hop)
+            datasets.append(replace(ds, record=simulate.add_record_noise(ds.record, 20.0, seed=seed)))
+        alone = [run_benchmark([ds], G3) for ds in datasets]
+        for c, *singles in zip(run_benchmark(datasets, G3), *alone, strict=True):
+            scored = [s.mean_dist_deg for s in singles if s.records]
+            assert key(c) == key(singles[0])
+            assert repr(c.mean_dist_deg) == repr(float(np.mean(scored)) if scored else float("nan")), key(c)
+            assert c.records == sum(s.records for s in singles)
+            assert c.excluded_windows == sum(s.excluded_windows for s in singles)

@@ -130,9 +130,8 @@ class TestWindowChunks:
     def test_block_loop_matches_the_one_window_forms(self, monkeypatch, method, layout):
         monkeypatch.setattr(pipeline, "WINDOW_CHUNK", 7)
         rec = gaps_record(layout)
-        cfg = PipelineConfig(cc_method=method, plan=GAPS_PLAN)
-        wp = window_peaks(rec, cfg)[method]
-        pairs = [correlate_window(normalize_window(w), cfg, DT) for w in segment(rec, GAPS_PLAN)]
+        wp = window_peaks(rec, GAPS_PLAN, [method])[method]
+        pairs = [correlate_window(normalize_window(w), method, DT) for w in segment(rec, GAPS_PLAN)]
         np.testing.assert_array_equal(wp.degenerate, [i for i, pair in enumerate(pairs) if pair is None])
         np.testing.assert_array_equal(wp.index, [i for i, pair in enumerate(pairs) if pair is not None])
         assert wp.index.dtype == wp.degenerate.dtype == np.int64
@@ -149,9 +148,8 @@ class TestWindowChunks:
         # at these sample intervals ccwd correlates level 1 alone, or level 2 alone
         assert len(xcorr.band_levels(dt)) == 1
         rec = SampleRecord(gaps_record().channels, dt)
-        cfg = PipelineConfig(cc_method="ccwd", plan=GAPS_PLAN)
-        wp = window_peaks(rec, cfg)["ccwd"]
-        pairs = [correlate_window(normalize_window(w), cfg, dt) for w in segment(rec, GAPS_PLAN)]
+        wp = window_peaks(rec, GAPS_PLAN, ["ccwd"])["ccwd"]
+        pairs = [correlate_window(normalize_window(w), "ccwd", dt) for w in segment(rec, GAPS_PLAN)]
         ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
         np.testing.assert_array_equal(wp.peaks.lag, ref.lag)
         assert_ccwd_peaks_match(wp.peaks, ref)
@@ -188,8 +186,8 @@ class TestWindowChunks:
             monkeypatch.setattr(pipeline, "WINDOW_CHUNK", chunk)
             assert write_map_csv(map_record(rec, cfg), tmp_path / "m.csv").read_bytes() == expected, chunk
         if w <= xcorr._CCWD_HEADS[0]:  # every detail is head: the one-window forms' bytes
-            wp = window_peaks(rec, cfg)["ccwd"]
-            pairs = [correlate_window(normalize_window(win), cfg, DT) for win in segment(rec, plan)]
+            wp = window_peaks(rec, plan, ["ccwd"])["ccwd"]
+            pairs = [correlate_window(normalize_window(win), "ccwd", DT) for win in segment(rec, plan)]
             ref = xcorr.peak_neighborhoods(np.vstack([s.coefficients for pair in pairs if pair for s in pair]))
             np.testing.assert_array_equal(wp.peaks.neighborhood, ref.neighborhood)
 
@@ -199,10 +197,9 @@ class TestWindowChunks:
             sim = fixture_sim(n_win=12, W=64, hop=16, seed=seed)
             noisy = simulate.add_record_noise(sim.record, 20.0, seed=seed)
             datasets.append(simulate.SimulatedRecord(noisy, sim.truth, sim.tau1_s, sim.tau2_s))
-        base = PipelineConfig(plan=SegmentationPlan(64, 16), geometry=G)
 
         def cells():
-            return [repr(c) for c in evaluate.run_benchmark(datasets, base)]
+            return [repr(c) for c in evaluate.run_benchmark(datasets, G)]
 
         expected = cells()
         monkeypatch.setattr(pipeline, "WINDOW_CHUNK", 1)
@@ -292,13 +289,14 @@ class TestSolveDirections:
         coefficient = rng.uniform(0.2, 1.0, size=60)
         coefficient[7] = coefficient[6]  # a tie between the window's BC and BD peaks
         peaks = xcorr.PeakNeighborhoods(127, np.zeros(60, dtype=int), np.repeat(coefficient[:, None], 17, axis=1))
-        wp = WindowPeaks(index, np.setdiff1d(np.arange(50), index), 50, peaks)
-        results = solve_directions(wp, specs, PipelineConfig(geometry=G), DT)
+        wp = WindowPeaks(index, np.setdiff1d(np.arange(50), index), 50, peaks, SegmentationPlan(128, 4), DT)
+        results = solve_directions(wp, specs, G)
         assert len(results) == 3
         for lags, res in zip(specs, results):
             np.testing.assert_array_equal(res.window_index, index)
             np.testing.assert_array_equal(res.degenerate_windows, wp.degenerate)
             assert res.total_windows == 50
+            assert (res.window_length, res.hop, res.sample_interval) == (128, 4, DT)
             for row, ((bc, bd), (peak_bc, peak_bd)) in enumerate(
                 zip(lags.reshape(-1, 2).tolist(), coefficient.reshape(-1, 2).tolist())
             ):
@@ -312,10 +310,18 @@ class TestSolveDirections:
 
     def test_no_correlated_window(self):
         peaks = xcorr.peak_neighborhoods(np.empty((0, 15)))
-        wp = WindowPeaks(np.empty(0, dtype=np.int64), np.arange(2), 2, peaks)
-        (res,) = solve_directions(wp, [np.empty(0)], PipelineConfig(geometry=G), DT)
+        wp = WindowPeaks(np.empty(0, dtype=np.int64), np.arange(2), 2, peaks, SegmentationPlan(8, 1), DT)
+        (res,) = solve_directions(wp, [np.empty(0)], G)
         assert len(res.window_index) == len(res.az_deg) == 0
         assert not res.track().valid.any()
+
+    def test_results_carry_the_grid_their_peaks_were_cut_on(self):
+        rec = SampleRecord(gaps_record().channels, 2.5e-9)
+        wp = window_peaks(rec, GAPS_PLAN, ["cctd", "ccfd"])["ccfd"]
+        assert (wp.plan, wp.sample_interval) == (GAPS_PLAN, 2.5e-9)
+        (res,) = solve_directions(wp, xcorr.refine_peaks(wp.peaks, [InterpSpec()]), G)
+        assert (res.window_length, res.hop, res.sample_interval) == (32, 3, 2.5e-9)
+        assert res.track().window_length == 32 and res.track().hop == 3
 
 
 class TestMapCsv:
@@ -337,8 +343,8 @@ class TestMapCsv:
         coefficient = rng.uniform(0.2, 1.0, size=80)
         peaks = xcorr.PeakNeighborhoods(127, np.zeros(80, dtype=int), np.repeat(coefficient[:, None], 17, axis=1))
         index = np.sort(rng.choice(60, size=40, replace=False))
-        wp = WindowPeaks(index, np.setdiff1d(np.arange(60), index), 60, peaks)
-        (res,) = solve_directions(wp, [lags.ravel()], PipelineConfig(geometry=G), DT)
+        wp = WindowPeaks(index, np.setdiff1d(np.arange(60), index), 60, peaks, SegmentationPlan(128, 8), DT)
+        (res,) = solve_directions(wp, [lags.ravel()], G)
         assert 0 < np.count_nonzero(res.valid) < 40
         path = write_map_csv(res, tmp_path / "map.csv", ["cc = cctd"])
         columns = (res.window_index, res.az_deg, res.el_deg, res.peak_coefficient, res.valid)

@@ -182,6 +182,20 @@ class TestCorrelateBlock:
             assert xcorr.correlate(np.ldexp(x, k), y, method).coefficients.tobytes() == want, k
             assert xcorr.correlate(np.ldexp(x, k), np.ldexp(y, k), method).coefficients.tobytes() == want, k
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", xcorr.CC_METHODS)
+    def test_non_finite_segment_is_rejected(self, method, bad):
+        # unchecked, inf warned in the energy rule and NaN gave an all-NaN
+        # series peaking at -(W-1)
+        one_pair = {"cctd": cc_time, "ccfd": cc_freq, "ccwd": cc_wavelet}[method]
+        x, y = np.random.default_rng(29).normal(size=(2, 64))
+        x[40] = bad
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="finite"):
+                one_pair(a, b)
+            with pytest.raises(ValueError, match="finite"):
+                xcorr.correlate(a, b, method)
+
     @pytest.mark.parametrize("method", ["ccfd", "ccwd"])
     def test_no_step_calls_a_blas_routine(self, monkeypatch, method):
         """The CPU-dependent summation order of BLAS is what moves a map
