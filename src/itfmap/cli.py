@@ -129,8 +129,8 @@ def merge_config(args: argparse.Namespace) -> dict:
     """The command's settings from its config file, overlaid by its flags.
 
     Exits 3 when a setting other than an output path holds a line break,
-    which would split its header comment, or when two output paths resolve
-    to one file, which the second write would overwrite."""
+    which would split its header comment, or when two of its paths (input
+    and outputs) resolve to one file, which a write would overwrite."""
     cfg = read_config_file(args.config, args.command) if args.config else {}
     cfg.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     with _config_guard():  # also catches `resolve`'s ValueError on a NUL byte
@@ -138,9 +138,9 @@ def merge_config(args: argparse.Namespace) -> dict:
             text = str(value)
             if key not in OUTPUT_KEYS and "".join(text.splitlines()) != text:
                 raise ValueError(f"setting {key!r} holds a line break: {text!r}")
-        outputs = [cfg[k] for k in OUTPUT_KEYS if cfg.get(k)]
-        if len(outputs) > 1 and len({Path(o).resolve() for o in outputs}) < len(outputs):
-            raise ValueError(f"output paths {' and '.join(map(repr, outputs))} name one file")
+        paths = [cfg[k] for k in ("input", *OUTPUT_KEYS) if cfg.get(k)]
+        if len({Path(p).resolve() for p in paths}) < len(paths):
+            raise ValueError(f"two of the paths {', '.join(map(repr, paths))} name one file")
     return cfg
 
 

@@ -123,8 +123,8 @@ def run_benchmark(datasets: list[SimulatedRecord], geometry: ArrayGeometry) -> l
         if len(ds.truth) != n_windows:
             raise ValueError(f"ground truth of {len(ds.truth)} windows for a record of {n_windows}")
 
-    # every x1 cell is the same spec, the integer peak, so each distinct spec
-    # is refined and scored once
+    # every x1 and every linear cell is the integer peak (see `InterpSpec`),
+    # so each of the 4 distinct specs is refined and scored once
     specs = list(dict.fromkeys(InterpSpec(im, fa) for im in INTERP_METHODS for fa in FACTORS))
     cells = []
     for filter_id in FILTERS:

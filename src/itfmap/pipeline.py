@@ -47,12 +47,8 @@ class PipelineConfig:
             raise ValueError(f"not a parsed filter selector: {self.filter_spec!r}")
         if self.cc_method not in xcorr.CC_METHODS:
             raise ValueError(f"unknown correlation method {self.cc_method!r}")
-        min_window = 2**xcorr.DEFAULT_CCWD_LEVELS
-        if self.cc_method == "ccwd" and self.plan.window_length < min_window:
-            raise ValueError(
-                f"ccwd needs a window of at least {min_window} samples for its "
-                f"{xcorr.DEFAULT_CCWD_LEVELS} levels, got {self.plan.window_length}"
-            )
+        if self.cc_method == "ccwd":
+            xcorr.check_ccwd_window(self.plan.window_length)
 
     def check_record(self, dt: float, length: int | None = None) -> None:
         """Raise ValueError when the filter or the correlation method cannot

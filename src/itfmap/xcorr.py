@@ -49,15 +49,16 @@ class DegenerateWindowError(ValueError):
 
 @dataclass(frozen=True)
 class CorrelationSeries:
-    """Normalized correlation coefficients over lags -(W-1) .. +(W-1)."""
+    """Finite normalized correlation coefficients over lags -(W-1) .. +(W-1)."""
 
     lags: np.ndarray
     coefficients: np.ndarray
 
     def __post_init__(self):
         n = len(self.coefficients)
-        if n % 2 == 0 or not np.array_equal(self.lags, np.arange(-(n // 2), n // 2 + 1)):
-            raise ValueError("a correlation series needs an odd number of coefficients over lags -L .. L")
+        if n % 2 == 0 or not np.isfinite(self.coefficients).all() or not np.array_equal(
+                self.lags, np.arange(-(n // 2), n // 2 + 1)):
+            raise ValueError("a correlation series needs an odd number of finite coefficients over lags -L .. L")
 
     def peak(self) -> tuple[int, float]:
         """(integer lag, coefficient) of the maximum; ties -> smallest |lag|."""
@@ -68,7 +69,7 @@ class CorrelationSeries:
 @dataclass(frozen=True)
 class InterpSpec:
     """Peak refinement: method in {none, linear, cubic}, factor in {1,2,4,8};
-    method ``none`` or factor 1 is stored as ``("none", 1)``."""
+    all but cubic at 2, 4 or 8 is the integer peak, stored as ``("none", 1)``."""
 
     method: str = "none"
     factor: int = 1
@@ -78,7 +79,7 @@ class InterpSpec:
             raise ValueError(f"unknown interpolation method {self.method!r}")
         if self.factor not in (1, 2, 4, 8):
             raise ValueError(f"interpolation factor must be 1, 2, 4 or 8, got {self.factor}")
-        if self.method == "none" or self.factor == 1:
+        if self.method != "cubic" or self.factor == 1:
             object.__setattr__(self, "method", "none")
             object.__setattr__(self, "factor", 1)
 
@@ -143,6 +144,13 @@ def band_levels(dt: float) -> list[int]:
             f"no decomposition level of {DEFAULT_CCWD_LEVELS} intersects band {SIGNAL_BAND} at dt={dt}"
         )
     return selected
+
+
+def check_ccwd_window(w: int) -> None:
+    """ValueError when a window of `w` samples is shorter than 2**levels."""
+    if w < 2**DEFAULT_CCWD_LEVELS:
+        raise ValueError(f"ccwd needs a window of at least {2**DEFAULT_CCWD_LEVELS} samples for its "
+                         f"{DEFAULT_CCWD_LEVELS} levels, got {w}")
 
 
 def wavelet_details(
@@ -293,44 +301,33 @@ def _cubic(vals: np.ndarray, factor: int) -> np.ndarray:
     return np.concatenate([v[:, :factor].reshape(-1, v.shape[-1]), v[-1, factor:]]).T
 
 
-def _resample(method: str, vals: np.ndarray, factor: int) -> np.ndarray:
-    """Rows of `vals`, sampled at unit spacing, resampled at offsets k/factor."""
-    if method == "cubic":
-        return _cubic(vals, factor)
-    k = np.arange((vals.shape[1] - 1) * factor + 1)
-    # np.interp's arithmetic: slope * (x - x_j) + y_j, with unit knot spacing
-    slopes = np.diff(vals, axis=1, append=vals[:, -1:])
-    j, r = np.divmod(k, factor)
-    return vals[:, j] + slopes[:, j] * (r / factor)
-
-
 def refine_peaks(peaks: PeakNeighborhoods, interps: Sequence[InterpSpec]) -> list[np.ndarray]:
     """Fractional-lag peak locations of every row of `peaks`, one array per
     spec in `interps` (see `refine_peak`).
 
     Rows are grouped by the offsets of their neighborhood that lie inside
     the lag axis, so the rows clear of both ends form one group, and each
-    group is resampled `REFINE_BATCH_ROWS` rows at a time.  Each method is
-    resampled once, on the grid of the largest factor in `interps`; a smaller
-    factor's curve is a slice of that grid, with the same values because the
-    grid points are dyadic.
+    group is resampled `REFINE_BATCH_ROWS` rows at a time.  The cubic spline
+    is resampled once, on the grid of the largest factor in `interps`; a
+    smaller factor's curve is a slice of that grid, with the same values
+    because the grid points are dyadic.
     """
     out = [peaks.lag.astype(np.float64) for _ in interps]
-    methods = {spec.method for spec in interps if spec.method != "none"}
-    if not methods or peaks.max_lag == 0:  # a one-lag axis has nothing to resample
+    factors = [spec.factor for spec in interps if spec.method == "cubic"]
+    if not factors or peaks.max_lag == 0:  # a one-lag axis has nothing to resample
         return out
-    n, top = INTERP_NEIGHBORHOOD, max(spec.factor for spec in interps)
+    n, top = INTERP_NEIGHBORHOOD, max(factors)
     ends = np.clip(peaks.lag + np.array([[-n], [n]]), -peaks.max_lag, peaks.max_lag) - peaks.lag
     for first, last in sorted(set(zip(*ends.tolist()))):
         group = np.flatnonzero((ends[0] == first) & (ends[1] == last))
         for rows in (group[k : k + REFINE_BATCH_ROWS] for k in range(0, len(group), REFINE_BATCH_ROWS)):
             vals = peaks.neighborhood[rows, first + n : last + n + 1]
             dense = (peaks.lag[rows] + first)[:, None] + np.arange((last - first) * top + 1) / top
-            curves = {method: _resample(method, vals, top) for method in methods}
+            curve = _cubic(vals, top)
             for spec, lags in zip(interps, out):
-                if spec.method != "none":
+                if spec.method == "cubic":
                     step = top // spec.factor
-                    best = _argmax_nearest_zero(curves[spec.method][:, ::step], dense[:, ::step])
+                    best = _argmax_nearest_zero(curve[:, ::step], dense[:, ::step])
                     lags[rows] = dense[np.arange(len(rows)), best * step]
     return out
 
@@ -338,10 +335,10 @@ def refine_peaks(peaks: PeakNeighborhoods, interps: Sequence[InterpSpec]) -> lis
 def refine_peak(series: CorrelationSeries, interp: InterpSpec) -> float:
     """Fractional-lag peak location.
 
-    Finds the integer argmax (ties toward smallest |lag|), then resamples the
-    +-8-lag neighborhood at `factor` times density with the chosen method and
-    returns the argmax of the resampled curve (same tie break).  Factor 1 or
-    method ``none`` return the integer peak.  A one-row `refine_peaks`.
+    Finds the integer argmax (ties toward smallest |lag|); cubic then
+    resamples the +-8-lag neighborhood at `factor` times density and returns
+    the argmax of the spline (same tie break).  Every other spec is the
+    integer peak, linear too: its curve peaks on a knot.  A one-row `refine_peaks`.
     """
     return float(refine_peaks(peak_neighborhoods(series.coefficients), [interp])[0][0])
 
@@ -371,8 +368,7 @@ def correlate_block(
     m = 1 << int(np.ceil(np.log2(2 * n - 1)))  # holds every lag
     if method == "ccwd":
         selected = band_levels(dt)
-        if n < 2**DEFAULT_CCWD_LEVELS:
-            raise ValueError(f"signal of {n} samples too short for {DEFAULT_CCWD_LEVELS} levels")
+        check_ccwd_window(n)
         if details is None:  # each window its own source
             details = wavelet_details(block, n, block, np.ones(block.shape[:2]), dt)
         parts = [details[j - 1] for j in selected]

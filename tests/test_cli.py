@@ -242,6 +242,24 @@ class TestMapCommand:
         assert "name one file" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_output_naming_the_input_is_config_error(self, tmp_path, capsys, monkeypatch):
+        rec = self.make_record(tmp_path, windows=20, window=64, hop=8)
+        before = rec.read_bytes()
+        monkeypatch.setattr(pipeline, "map_record", lambda *a: pytest.fail("mapped"))
+        assert run("map", "--input", str(rec), "--output", str(rec), "--window", "64", "--hop", "8") == EXIT_CONFIG
+        assert "name one file" in capsys.readouterr().err
+        assert rec.read_bytes() == before
+
+    def test_el_series_naming_the_input_is_config_error(self, tmp_path, capsys, monkeypatch):
+        rec = self.make_record(tmp_path, windows=20, window=64, hop=8)
+        before = rec.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pipeline, "map_record", lambda *a: pytest.fail("mapped"))
+        assert run("map", "--input", rec.name, "--output", "m.csv", "--el-series", f"./{rec.name}",
+                   "--window", "64", "--hop", "8") == EXIT_CONFIG
+        assert "name one file" in capsys.readouterr().err
+        assert rec.read_bytes() == before and not (tmp_path / "m.csv").exists()
+
     # a value `plot` would read back as bare lines above the map CSV's header
     @pytest.mark.parametrize("argv", [["--filter", "\nnone"], ["--interp", "\ncubic:8"], ["--filter", "none\u2028"]])
     def test_setting_holding_a_line_break_is_config_error(self, tmp_path, capsys, argv):
@@ -559,6 +577,15 @@ class TestPlotCommand:
     def test_missing_input(self, tmp_path):
         assert run("plot", "--input", str(tmp_path / "nope.csv"),
                    "--output", str(tmp_path / "x.svg")) == EXIT_INPUT
+
+    def test_output_naming_the_input_is_config_error(self, tmp_path, capsys):
+        rec = TestMapCommand().make_record(tmp_path, windows=20, window=64, hop=8)
+        m = tmp_path / "m.csv"
+        assert run("map", "--input", str(rec), "--output", str(m), "--window", "64", "--hop", "8") == EXIT_OK
+        before = m.read_bytes()
+        assert run("plot", "--input", str(m), "--output", str(m)) == EXIT_CONFIG
+        assert "name one file" in capsys.readouterr().err
+        assert m.read_bytes() == before
 
 
 SCIPY_PROBE = """

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from itfmap import evaluate, pipeline, simulate
+from itfmap import evaluate, pipeline, simulate, xcorr
 from itfmap.denoise import parse_filter_spec
 from itfmap.evaluate import (
     FACTORS,
@@ -160,6 +160,20 @@ class TestBenchmark:
         for f, m in itertools.product(FILTERS, CC_METHODS):
             a, b = by_key[f, m, "linear", 1], by_key[f, m, "cubic", 1]
             assert repr(a.mean_dist_deg) == repr(b.mean_dist_deg) and a.records == b.records
+
+    def test_linear_cells_are_the_integer_peak_refined_once(self, monkeypatch, noisy_dataset, cells):
+        # every linear spec is the integer peak, so each (record, filter,
+        # method) refines 4 specs and each linear cell reads the x1 stats
+        seen, refine = [], xcorr.refine_peaks
+        monkeypatch.setattr(xcorr, "refine_peaks", lambda peaks, interps: seen.append(interps) or refine(peaks, interps))
+        run_benchmark([noisy_dataset], G3)
+        assert len(seen) == len(FILTERS) * len(CC_METHODS)
+        assert all(s == [InterpSpec()] + [InterpSpec("cubic", f) for f in (2, 4, 8)] for s in seen)
+        by_key = {key(c): c for c in cells}
+        for f, m, fa in itertools.product(FILTERS, CC_METHODS, FACTORS):
+            a, b = by_key[f, m, "linear", fa], by_key[f, m, "linear", 1]
+            assert (repr(a.mean_dist_deg), a.records, a.excluded_windows) == (
+                repr(b.mean_dist_deg), b.records, b.excluded_windows)
 
     def test_dataset_without_truth_rejected(self):
         ds = tiny_dataset(8, n_win=4)

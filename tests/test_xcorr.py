@@ -150,6 +150,13 @@ class TestCcWavelet:
         with pytest.raises(ValueError, match="band"):
             cc_wavelet(x, x, dt=1e-7)  # both levels lie below 5 MHz
 
+    def test_window_too_short_for_the_levels_rejected(self):
+        # the rule `PipelineConfig` applies to a plan, in the same words
+        x = normalized_window(14, n=3)
+        with pytest.raises(ValueError, match="ccwd needs a window of at least 4 samples for its 2 levels, got 3"):
+            cc_wavelet(x, x)
+        assert cc_wavelet(normalized_window(14, n=4), normalized_window(15, n=4)).lags.tolist() == list(range(-3, 4))
+
     def test_lag_axis_shared_with_cc_time(self):
         x = normalized_window(15)
         np.testing.assert_array_equal(cc_wavelet(x, x).lags, cc_time(x, x).lags)
@@ -405,6 +412,26 @@ class TestRefinePeak:
         with pytest.raises(ValueError):
             CorrelationSeries(lags, np.cos((lags - 13) / 4.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_is_rejected(self, bad):
+        # against a NaN maximum no column equals it, so the tie break would
+        # pick column 0: lag -20 here, -12 at cubic:8
+        lags = np.arange(-20, 21)
+        c = np.cos((lags - 3) / 7.0)
+        c[25] = bad
+        with pytest.raises(ValueError, match="finite coefficients"):
+            CorrelationSeries(lags, c)
+
+    def test_linear_near_tie_is_the_integer_peak(self):
+        # lag 2 one ulp below the peak at lag 3: rounding in a linear
+        # formula lifts the points between them to the peak value, and the
+        # tie break would take 2.75 (x4) or 2.625 (x8)
+        lags = np.arange(-20, 21)
+        c = 0.1 * np.cos(lags / 7.0)
+        c[23], c[22] = 0.9, 0.9 - np.spacing(0.9)
+        series = CorrelationSeries(lags, c)
+        assert [refine_peak(series, InterpSpec("linear", f)) for f in (1, 2, 4, 8)] == [3.0] * 4
+
     def test_fractional_delay_cubic_beats_integer(self):
         # oracle: the analytic delay is 2.5 samples by construction
         x, y = bandlimited_pair(2.5)
@@ -432,9 +459,14 @@ class TestRefinePeak:
         assert InterpSpec.parse("none") == InterpSpec()
 
     def test_no_refinement_has_one_spelling(self):
-        for spec in (InterpSpec("cubic", 1), InterpSpec("linear", 1), InterpSpec("none", 4)):
+        # a piecewise-linear curve peaks on a knot, so every linear spec is
+        # the integer peak
+        linear = [InterpSpec("linear", f) for f in (1, 2, 4, 8)] + [InterpSpec.parse("linear:8")]
+        for spec in [InterpSpec("cubic", 1), InterpSpec("none", 4), *linear]:
             assert (spec.method, spec.factor) == ("none", 1)
             assert spec == InterpSpec() and hash(spec) == hash(InterpSpec())
+        for f in (2, 4, 8):
+            assert (InterpSpec("cubic", f).method, InterpSpec("cubic", f).factor) == ("cubic", f)
 
 
 def reference_peak(lags, c):
@@ -445,10 +477,10 @@ def reference_peak(lags, c):
 
 
 def reference_refine(lags, c, interp):
-    """Per-series refinement, one spline or np.interp call per series and
-    spec: the oracle the batched `refine_peaks` must match exactly."""
+    """Per-series refinement, one spline call per series and spec: the
+    oracle the batched `refine_peaks` must match exactly."""
     lag0, _ = reference_peak(lags, c)
-    if interp.method == "none" or interp.factor == 1:
+    if interp.method == "none":
         return float(lag0)
     lo = max(int(lags[0]), lag0 - 8)
     hi = min(int(lags[-1]), lag0 + 8)
@@ -457,10 +489,7 @@ def reference_refine(lags, c, interp):
     if len(base) < 2:
         return float(lag0)
     dense = lo + np.arange(int((hi - lo) * interp.factor) + 1) / interp.factor
-    if interp.method == "linear":
-        curve = np.interp(dense, base, vals)
-    else:
-        curve = CubicSpline(base, vals)(dense)
+    curve = CubicSpline(base, vals)(dense)
     best = np.flatnonzero(curve == curve.max())
     return float(dense[best[np.argmin(np.abs(dense[best]))]])
 
@@ -472,12 +501,7 @@ ALL_SPECS = [InterpSpec()] + [
 
 def adversarial_rows(W, rng):
     """Coefficient rows over lags -(W-1)..W-1 that stress the tie breaks and
-    the clipped neighborhoods, plus smooth and random ones.
-
-    The near ties (a neighbor one or two ulps below the peak) are where
-    linear refinement moves off the integer peak: rounding in the linear
-    formula can lift an interior point to the peak value, and the tie break
-    then picks it, so these rows pin that formula's rounding."""
+    the clipped neighborhoods, plus smooth and random ones."""
     L = W - 1
     lags = np.arange(-L, L + 1)
     rows = [rng.uniform(-1, 1, 2 * L + 1) for _ in range(40)]
@@ -590,7 +614,7 @@ class TestCubicKernel:
             vals = spline_rows(last - first + 1, rng)
             dense = first + np.arange((last - first) * factor + 1) / factor
             expected = CubicSpline(np.arange(first, last + 1, dtype=np.float64), vals, axis=1)(dense)
-            got = xcorr._resample("cubic", vals, factor)
+            got = xcorr._cubic(vals, factor)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (first, last)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
